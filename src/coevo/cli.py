@@ -210,7 +210,7 @@ def _cmd_sweep(args) -> int:
         cfg.network,
         schedule_kind=cfg.schedule.kind,
         trials=trials,
-        seed=args.seed if args.seed is not None else cfg.schedule.seed or 0,
+        seed=cfg.schedule.seed,
         max_steps=cfg.max_steps,
         fixed_point_tol=cfg.fixed_point_tol,
     )

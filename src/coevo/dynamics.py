@@ -10,7 +10,7 @@ the convergence analysis assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -20,6 +20,9 @@ from .model import (
     ModelParams,
     Network,
     SystemState,
+    _opinion,
+    _revision,
+    _stationarity,
 )
 
 SCHEDULE_KINDS = ("synchronous", "round-robin", "shuffled-rounds", "iid-random")
@@ -35,15 +38,15 @@ class RevisionSchedule:
 
     ``T`` is the coverage window: every player activates at least once in any
     ``T`` consecutive steps. It is None for iid-random, which offers no such
-    guarantee and is therefore marked non-compliant; convergence analyses
-    must warn when handed a non-compliant schedule.
+    guarantee; convergence analyses must warn when handed such a schedule.
+    ``seed`` drives the stochastic kinds; the deterministic kinds keep it so
+    that callers can read back the seed a schedule was built with.
     """
 
     kind: str
     n: int
-    seed: int | None
+    seed: int
     T: int | None
-    compliant: bool = field(default=True)
 
     @property
     def stability_window(self) -> int:
@@ -84,43 +87,23 @@ def make_schedule(kind: str, n: int, seed: int | None = None) -> RevisionSchedul
     Kinds: ``synchronous`` (everyone every step, window 1), ``round-robin``
     (players 1..n cyclically, window n), ``shuffled-rounds`` (a fresh uniform
     permutation each block of n steps, window 2n-1), ``iid-random`` (one
-    uniformly random player per step, no window guarantee).
+    uniformly random player per step, no window guarantee). A missing
+    ``seed`` is stored as 0.
     """
     if n < 2:
         raise ValueError(f"schedules need n >= 2, got {n}")
     if kind == "synchronous":
-        sched = RevisionSchedule(kind, n, None, T=1)
+        T = 1
     elif kind == "round-robin":
-        sched = RevisionSchedule(kind, n, None, T=n)
+        T = n
     elif kind == "shuffled-rounds":
         # worst case: a player leads one block and trails the next
-        sched = RevisionSchedule(kind, n, seed if seed is not None else 0, T=2 * n - 1)
+        T = 2 * n - 1
     elif kind == "iid-random":
-        sched = RevisionSchedule(
-            kind, n, seed if seed is not None else 0, T=None, compliant=False
-        )
+        T = None
     else:
         raise ValueError(f"unknown schedule kind {kind!r}; choose one of {SCHEDULE_KINDS}")
-    if sched.T is not None and sched.kind in ("synchronous", "round-robin"):
-        _verify_coverage(sched)
-    return sched
-
-
-def _verify_coverage(sched: RevisionSchedule) -> None:
-    period = 1 if sched.kind == "synchronous" else sched.n
-    prefix = []
-    it = sched.sets()
-    for _ in range(period + sched.T):
-        prefix.append(next(it))
-    everyone = set(range(sched.n))
-    for start in range(period):
-        window: set[int] = set()
-        for t in range(start, start + sched.T):
-            window.update(prefix[t])
-        if window != everyone:
-            raise AssertionError(
-                f"{sched.kind} schedule failed its own coverage check at offset {start}"
-            )
+    return RevisionSchedule(kind, n, seed if seed is not None else 0, T)
 
 
 def _check_compatible(state: SystemState, params: ModelParams, net: Network) -> None:
@@ -141,23 +124,12 @@ def _apply(
     All active players read the same pre-step opinions. Returns full-length
     (x', y') with inactive coordinates copied over.
     """
-    y = state.y
-    social = net.W[active] @ y
-    g = params.gamma[active]
-    pulled = (1.0 - g) * social + g * params.prejudice[active]
-    beta = params.beta[active]
-    lam = params.lam[active]
-    denom = beta + lam
-    if (denom <= 0.0).any():
-        bad = int(active[np.argmax(denom <= 0.0)])
-        raise ValueError(f"player {bad + 1}: beta + lam must be positive to update")
-    coupling = beta * lam / denom
-    delta = params.alpha[active] * (params.r / params.n - 1.0) + coupling * (pulled - 0.5)
+    delta, pulled = _revision(net.W[active] @ state.y, params, active)
     s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int64)
     x_new = np.array(state.x)
     y_new = np.array(state.y)
     x_new[active] = s
-    y_new[active] = (beta * pulled + s * lam) / denom
+    y_new[active] = _opinion(s, pulled, params, active)
     return x_new, y_new
 
 
@@ -305,10 +277,9 @@ def is_fixed_point(
     and every opinion sits within ``tol`` of its action-conditional optimum.
     """
     _check_compatible(state, params, net)
-    everyone = np.arange(params.n)
-    x_new, y_new = _apply(state, everyone, params, net)
+    delta, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
     return bool(
-        np.array_equal(x_new, state.x) and np.max(np.abs(y_new - state.y)) <= tol
+        np.array_equal(state.x, delta > DISCRIMINANT_TIE_TOL) and np.max(gap) <= tol
     )
 
 

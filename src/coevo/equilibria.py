@@ -23,6 +23,7 @@ import numpy as np
 
 from .dynamics import (
     StateClass,
+    _check_compatible,
     classify_state,
     make_schedule,
     run,
@@ -32,11 +33,16 @@ from .model import (
     ModelParams,
     Network,
     SystemState,
+    _stationarity,
     best_response,
 )
 
 CONDITION_ALL_DEFECTION_UNIQUE = "all_defection_unique"
 CONDITION_ALL_COOPERATION_EXISTS = "all_cooperation_exists"
+
+#: Largest n that ``enumerate_equilibria`` scans by default and that ``sweep``
+#: enumerates; a scan holds several 2^n x n float arrays at once.
+ENUMERATION_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -207,19 +213,19 @@ def verify_nash(
     action; opinions must match the action-conditional optimum within
     ``tol``.
     """
-    if state.n != params.n or net.n != params.n:
-        raise ValueError(
-            f"size mismatch: state has {state.n} players, params {params.n}, "
-            f"network {net.n}"
-        )
-    for i in range(params.n):
-        br = best_response(i, state.y, params, net)
-        xi = int(state.x[i])
-        if xi not in br.actions:
-            return NashCheck(False, i, br.entries[0])
-        if abs(state.y[i] - br.opinion_for(xi)) > tol:
-            return NashCheck(False, i, (xi, br.opinion_for(xi)))
-    return NashCheck(True)
+    _check_compatible(state, params, net)
+    delta, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
+    eps = DISCRIMINANT_TIE_TOL
+    action_ok = np.where(state.x == 1, delta >= -eps, delta <= eps)
+    deviating = np.flatnonzero(~(action_ok & (gap <= tol)))
+    if deviating.size == 0:
+        return NashCheck(True)
+    i = int(deviating[0])
+    # report best_response's own pair so the opinion keeps its bits: the held
+    # action when it is a best response, else the first one
+    br = best_response(i, state.y, params, net)
+    held = int(state.x[i])
+    return NashCheck(False, i, next((e for e in br.entries if e[0] == held), br.entries[0]))
 
 
 @dataclass(frozen=True)
@@ -252,7 +258,7 @@ class EquilibriumReport:
 def enumerate_equilibria(
     params: ModelParams,
     net: Network,
-    max_n: int = 16,
+    max_n: int = ENUMERATION_MAX_N,
 ) -> EquilibriumReport:
     """Enumerate all equilibria by scanning every one of the 2^n action profiles.
 
@@ -279,18 +285,12 @@ def enumerate_equilibria(
     M, psi = _opinion_system(params, net)
     Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
 
-    social = Y @ net.W.T
-    coupling = params.beta * params.lam / (params.beta + params.lam)
-    delta = params.alpha * (params.r / params.n - 1.0) + coupling * (social - 0.5)
-
+    delta, gap = _stationarity(X, Y, Y @ net.W.T, params)
     eps = DISCRIMINANT_TIE_TOL
     coop = X == 1.0
     dyn_ok = np.where(coop, delta > eps, delta <= eps).all(axis=1)
     nash_ok = np.where(coop, delta >= -eps, delta <= eps).all(axis=1)
-
-    residual = np.abs(
-        Y - ((params.beta * social) + params.lam * X) / (params.beta + params.lam)
-    ).max(axis=1)
+    residual = gap.max(axis=1)
 
     def build(mask: np.ndarray) -> tuple[Equilibrium, ...]:
         found = []
@@ -355,8 +355,6 @@ def sweep(
     seed: int = 0,
     max_steps: int = 100_000,
     fixed_point_tol: float = 1e-10,
-    max_n: int = 16,
-    opinion_tol: float = 1e-6,
 ) -> SweepTable:
     """Run condition checks, enumeration, and random-start simulations per cell.
 
@@ -364,7 +362,8 @@ def sweep(
     ``beta``, combined by cartesian product. Every player shares the cell's
     weights, with lam = 1 - alpha - beta and zero prejudice attachment. Cells
     that violate the model's invariants are reported in ``invalid_cells`` and
-    skipped. Enumeration is skipped (count None) when n exceeds ``max_n``.
+    skipped. Enumeration is skipped (count None) when n exceeds
+    ``ENUMERATION_MAX_N``.
     """
     unknown = set(grid) - {"r", "alpha", "beta"}
     if unknown:
@@ -406,8 +405,8 @@ def sweep(
             continue
         cond_defect = check_all_defection_unique(params)
         cond_coop = check_all_cooperation_exists(params)
-        if n <= max_n:
-            report = enumerate_equilibria(params, net, max_n=max_n)
+        if n <= ENUMERATION_MAX_N:
+            report = enumerate_equilibria(params, net)
             eq_count: int | None = len(report.equilibria)
             boundary_count: int | None = len(report.boundary_equilibria)
         else:
@@ -432,7 +431,7 @@ def sweep(
                 max_steps=max_steps,
                 fixed_point_tol=fixed_point_tol,
             )
-            label = classify_state(traj.final, opinion_tol=opinion_tol).full_class
+            label = classify_state(traj.final).full_class
             counts[label] = counts.get(label, 0) + 1
         freqs = {label: count / trials for label, count in sorted(counts.items())}
         cells.append(

@@ -342,21 +342,47 @@ def social_term(i: int, y, net: Network) -> float:
     return float(np.dot(net.W[i], y))
 
 
-def _consistency_coupling(i: int, params: ModelParams) -> float:
-    denom = params.beta[i] + params.lam[i]
-    if denom <= 0.0:
+def _revision(social, params: ModelParams, players=slice(None)):
+    """Discriminant and prejudice-blended social pull of the listed players.
+
+    ``social`` holds ``W[i] @ y`` for each player ``i`` in ``players`` along its
+    last axis, with any leading batch axes; ``players`` is an index, an index
+    array or a slice into the per-player parameters. Returns
+    ``(discriminant, pulled)`` shaped like ``social``.
+    """
+    beta = params.beta[players]
+    lam = params.lam[players]
+    denom = beta + lam
+    if (denom <= 0.0).any():
+        bad = int(np.ravel(np.arange(params.n)[players])[np.argmax(denom <= 0.0)])
         raise ValueError(
-            f"player {i + 1}: beta + lam must be positive (got beta={params.beta[i]}, "
-            f"lam={params.lam[i]}); the best response is undefined otherwise"
+            f"player {bad + 1}: beta + lam must be positive (got beta={params.beta[bad]}, "
+            f"lam={params.lam[bad]}); the best response is undefined otherwise"
         )
-    return params.beta[i] * params.lam[i] / denom
+    g = params.gamma[players]
+    # with no prejudice attachment the blend returns ``social`` bit for bit;
+    # skipping it spares batched callers one full-size temporary
+    pulled = (1.0 - g) * social + g * params.prejudice[players] if g.any() else social
+    coupling = beta * lam / denom
+    delta = params.alpha[players] * (params.r / params.n - 1.0) + coupling * (pulled - 0.5)
+    return delta, pulled
 
 
-def _discriminant_from_social(i: int, social: float, params: ModelParams) -> float:
-    coupling = _consistency_coupling(i, params)
-    g = params.gamma[i]
-    pull = g * params.prejudice[i] + (1.0 - g) * social - 0.5
-    return params.alpha[i] * (params.r / params.n - 1.0) + coupling * pull
+def _opinion(actions, pulled, params: ModelParams, players=slice(None)):
+    """Optimal opinion of the listed players for ``actions``, given their ``pulled``."""
+    beta = params.beta[players]
+    lam = params.lam[players]
+    return (beta * pulled + actions * lam) / (beta + lam)
+
+
+def _stationarity(x, y, social, params: ModelParams):
+    """Discriminants and opinion gaps of every player over ``(..., n)`` profiles.
+
+    ``social`` is ``W @ y`` per profile. The gap is each player's distance
+    from the optimal opinion for the action they hold.
+    """
+    delta, pulled = _revision(social, params)
+    return delta, np.abs(y - _opinion(x, pulled, params))
 
 
 def discriminant(i: int, y, params: ModelParams, net: Network) -> float:
@@ -366,22 +392,16 @@ def discriminant(i: int, y, params: ModelParams, net: Network) -> float:
     Depends on opinions only, never on any action vector, which is why this
     function takes no actions.
     """
-    return _discriminant_from_social(i, social_term(i, y, net), params)
+    return _revision(social_term(i, y, net), params, i)[0]
 
 
-def best_response(
-    i: int,
-    y,
-    params: ModelParams,
-    net: Network,
-    tie_tol: float = DISCRIMINANT_TIE_TOL,
-) -> BestResponseSet:
+def best_response(i: int, y, params: ModelParams, net: Network) -> BestResponseSet:
     """All payoff-maximising (action, opinion) pairs for player ``i`` given opinions ``y``.
 
     The optimal opinion for a chosen action ``s`` is the convex combination
     ``(beta * ((1 - gamma) * social + gamma * prejudice) + s * lam) / (beta + lam)``,
-    so it always lies in [0, 1]. A discriminant within ``tie_tol`` of zero
-    yields both actions, each with its own optimal opinion.
+    so it always lies in [0, 1]. A discriminant within ``DISCRIMINANT_TIE_TOL``
+    of zero yields both actions, each with its own optimal opinion.
 
     The one-shot payoff-optimality of the returned pairs is exact when
     ``w_ii = 0``. With a positive self-weight the social term keeps the
@@ -390,19 +410,12 @@ def best_response(
     points of the two maps coincide, so equilibrium analyses are unaffected.
     """
     i = _check_player(i, params.n)
-    social = social_term(i, y, net)
-    disc = _discriminant_from_social(i, social, params)
-    if abs(disc) <= tie_tol:
+    disc, pulled = _revision(social_term(i, y, net), params, i)
+    if abs(disc) <= DISCRIMINANT_TIE_TOL:
         actions: tuple[int, ...] = (0, 1)
     elif disc > 0.0:
         actions = (1,)
     else:
         actions = (0,)
-    beta = params.beta[i]
-    lam = params.lam[i]
-    g = params.gamma[i]
-    pulled = (1.0 - g) * social + g * params.prejudice[i]
-    entries = tuple(
-        (s, (beta * pulled + s * lam) / (beta + lam)) for s in actions
-    )
+    entries = tuple((s, _opinion(s, pulled, params, i)) for s in actions)
     return BestResponseSet(entries=entries, discriminant_value=disc)

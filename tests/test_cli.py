@@ -246,6 +246,27 @@ class TestSweep:
         assert out.read_text() == capsys.readouterr().out
 
 
+    def test_config_seed_drives_synchronous_trials(self, tmp_path, capsys):
+        def sweep_output(config_seed, *flags):
+            doc = {
+                "params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3},
+                "network": {"type": "complete"},
+                "schedule": {"kind": "synchronous", "seed": config_seed},
+                "initial_state": "all-coop-consensus",
+                "run": {"max_steps": 200},
+                "sweep": {"r": [3.8], "alpha": [0.2], "beta": [1 / 3], "trials": 8},
+            }
+            path = tmp_path / f"sync{config_seed}.json"
+            path.write_text(json.dumps(doc))
+            assert cli_main(["sweep", str(path), "--quiet", *flags]) == 0
+            return capsys.readouterr().out
+
+        seeded = sweep_output(5)
+        assert json.loads(seeded)["seed"] == 5
+        assert seeded != sweep_output(0)
+        assert seeded == sweep_output(0, "--seed", "5")
+
+
 class TestEntryPoint:
     def test_console_script_is_wired(self, tmp_path):
         """The `coevo` script that a build declares runs `coevo.cli.main`.

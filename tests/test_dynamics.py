@@ -67,7 +67,6 @@ class TestSchedules:
     def test_iid_random_not_compliant(self):
         sched = make_schedule("iid-random", 4, seed=1)
         assert sched.T is None
-        assert not sched.compliant
         assert sched.stability_window == 16
         it = sched.sets()
         draws = {next(it)[0] for _ in range(200)}
@@ -80,7 +79,7 @@ class TestSchedules:
     def test_compliant_kinds_have_windows(self):
         for kind, expected_T in (("synchronous", 1), ("round-robin", 6), ("shuffled-rounds", 11)):
             sched = make_schedule(kind, 6, seed=0)
-            assert sched.compliant
+            assert sched.T is not None
             assert sched.T == expected_T
 
 

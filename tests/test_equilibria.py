@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevo.dynamics import is_fixed_point
 from coevo.equilibria import (
     CONDITION_ALL_COOPERATION_EXISTS,
     CONDITION_ALL_DEFECTION_UNIQUE,
+    NashCheck,
     check_all_cooperation_exists,
     check_all_defection_unique,
     enumerate_equilibria,
@@ -14,7 +17,14 @@ from coevo.equilibria import (
     sweep,
     verify_nash,
 )
-from coevo.model import ModelParams, Network, SystemState, discriminant
+from coevo.model import (
+    DISCRIMINANT_TIE_TOL,
+    ModelParams,
+    Network,
+    SystemState,
+    best_response,
+    discriminant,
+)
 from coevo.networks import complete_network, random_symmetric_network
 from instances import (
     cooperation_regime_params,
@@ -383,3 +393,117 @@ class TestRegimeInstanceGenerators:
             params = cooperation_regime_params(rng, n)
             net = random_row_stochastic(rng, n)
             assert check_all_cooperation_exists(params).all_hold
+
+
+def _loop_verify_nash(state, params, net, tol=1e-9):
+    """Reference for verify_nash: one best_response call per player."""
+    for i in range(params.n):
+        br = best_response(i, state.y, params, net)
+        xi = int(state.x[i])
+        if xi not in br.actions:
+            return NashCheck(False, i, br.entries[0])
+        if abs(state.y[i] - br.opinion_for(xi)) > tol:
+            return NashCheck(False, i, (xi, br.opinion_for(xi)))
+    return NashCheck(True)
+
+
+def _loop_is_fixed_point(state, params, net, tol=1e-9):
+    """Reference for is_fixed_point: every action is the tie-to-defect
+    discriminant sign and every opinion is within tol of its optimum."""
+    for i in range(params.n):
+        br = best_response(i, state.y, params, net)
+        xi = int(state.x[i])
+        if xi != int(br.discriminant_value > DISCRIMINANT_TIE_TOL):
+            return False
+        if abs(state.y[i] - br.opinion_for(xi)) > tol:
+            return False
+    return True
+
+
+ORACLE_KINDS = ("plain", "attached", "tied")
+
+
+def _oracle_instance(seed, kind):
+    """Random instance with n <= 7.
+
+    "attached" gives some players prejudice; "tied" shares one set of weights
+    and puts r on the condition boundary, so all-cooperation consensus is a
+    Nash equilibrium only by the tie rule.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    net = random_row_stochastic(rng, n)
+    if kind == "tied":
+        alpha, split = rng.uniform(0.3, 0.6), rng.uniform(0.35, 0.65)
+        beta, lam = (1 - alpha) * split, (1 - alpha) * (1 - split)
+        coupling = beta * lam / (beta + lam)
+        return rng, ModelParams.uniform(n, n * (1 - coupling / (2 * alpha)), alpha, beta, lam), net
+    params = random_interior_params(rng, n)
+    if kind == "attached":
+        params = ModelParams(
+            n=n, r=params.r, alpha=params.alpha, beta=params.beta, lam=params.lam,
+            gamma=rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5), prejudice=rng.random(n),
+        )
+    return rng, params, net
+
+
+def _oracle_states(rng, params, net):
+    """Random states and states with every opinion 1, plus for zero prejudice
+    attachment the exact stationary opinions of random profiles and of every
+    equilibrium; each also with one opinion nudged off its optimum."""
+    n = params.n
+    states = [SystemState(rng.integers(0, 2, size=n), rng.random(n)) for _ in range(3)]
+    states.append(SystemState(rng.integers(0, 2, size=n), np.ones(n)))
+    if (params.gamma == 0.0).all():
+        report = enumerate_equilibria(params, net)
+        states += [eq.state for eq in report.equilibria + report.boundary_equilibria]
+        for _ in range(3):
+            x = rng.integers(0, 2, size=n)
+            states.append(SystemState(x, solve_opinion_equilibrium(x, params, net)))
+    for state in list(states):
+        y = state.y.copy()
+        k = int(rng.integers(n))
+        y[k] = abs(y[k] - float(rng.choice([1e-10, 1e-6])))
+        states.append(SystemState(state.x, y))
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ORACLE_KINDS))
+def test_verify_nash_matches_per_player_loop(seed, kind):
+    rng, params, net = _oracle_instance(seed, kind)
+    for state in _oracle_states(rng, params, net):
+        assert verify_nash(state, params, net) == _loop_verify_nash(state, params, net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ORACLE_KINDS))
+def test_is_fixed_point_matches_per_player_loop(seed, kind):
+    rng, params, net = _oracle_instance(seed, kind)
+    for state in _oracle_states(rng, params, net):
+        for tol in (1e-9, 1e-7):
+            assert is_fixed_point(state, params, net, tol=tol) == _loop_is_fixed_point(
+                state, params, net, tol=tol
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("plain", "tied")))
+def test_enumeration_matches_per_profile_scan(seed, kind):
+    _, params, net = _oracle_instance(seed, kind)
+    strict, boundary = {}, {}
+    for bits in itertools.product((0, 1), repeat=params.n):
+        x = np.array(bits)
+        state = SystemState(x, solve_opinion_equilibrium(x, params, net))
+        responses = [best_response(i, state.y, params, net) for i in range(params.n)]
+        if all(xi == int(br.discriminant_value > DISCRIMINANT_TIE_TOL) for xi, br in zip(bits, responses)):
+            strict[bits] = state.y
+        elif all(xi in br.actions for xi, br in zip(bits, responses)):
+            boundary[bits] = state.y
+    report = enumerate_equilibria(params, net)
+    for found, expected in ((report.equilibria, strict), (report.boundary_equilibria, boundary)):
+        assert {tuple(int(v) for v in eq.state.x) for eq in found} == set(expected)
+        for eq in found:
+            np.testing.assert_allclose(
+                eq.state.y, expected[tuple(int(v) for v in eq.state.x)], atol=1e-12
+            )
