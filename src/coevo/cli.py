@@ -17,6 +17,7 @@ from . import __version__
 from .config import ConfigError, load_config
 from .dynamics import classify_state, run
 from .equilibria import (
+    ENUMERATION_MAX_N,
     check_all_cooperation_exists,
     check_all_defection_unique,
     enumerate_equilibria,
@@ -66,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "enumerate", parents=[common], help="enumerate all equilibria exhaustively"
     ).add_argument(
-        "--max-n", type=int, default=16, help="refuse enumeration beyond this n (default 16)"
+        "--max-n",
+        type=int,
+        default=ENUMERATION_MAX_N,
+        help=f"refuse enumeration beyond this n (default {ENUMERATION_MAX_N})",
     )
 
     sub.add_parser(
@@ -133,8 +137,9 @@ def _cmd_simulate(args) -> int:
         emit_trajectory(traj, args.out, format=args.format)
     if not args.quiet:
         cls = classify_state(traj.final)
+        detail = f" ({traj.stop_detail})" if traj.stop_detail else ""
         print(
-            f"stopped after {len(traj) - 1} steps: {traj.stop_reason}; "
+            f"stopped after {len(traj) - 1} steps: {traj.stop_reason}{detail}; "
             f"final class: {cls.full_class}",
             file=sys.stderr,
         )

@@ -114,23 +114,20 @@ def _check_compatible(state: SystemState, params: ModelParams, net: Network) -> 
 
 
 def _apply(
-    state: SystemState,
+    y: np.ndarray,
     active: np.ndarray,
     params: ModelParams,
     net: Network,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw simultaneous update of the active coordinates, before any clipping.
+    """Best responses of the ``active`` players (sorted, unique) to opinions ``y``.
 
-    All active players read the same pre-step opinions. Returns full-length
-    (x', y') with inactive coordinates copied over.
+    All active players read the same pre-step opinions. Returns their new
+    actions (int8) and raw opinions, before any clipping, aligned with
+    ``active``.
     """
-    delta, pulled = _revision(net.W[active] @ state.y, params, active)
-    s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int64)
-    x_new = np.array(state.x)
-    y_new = np.array(state.y)
-    x_new[active] = s
-    y_new[active] = _opinion(s, pulled, params, active)
-    return x_new, y_new
+    delta, pulled = _revision(net.W[active] @ y, params, active)
+    s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
+    return s, _opinion(s, pulled, params, active)
 
 
 def step(
@@ -155,47 +152,100 @@ def step(
         raise IndexError(
             f"active set {active.tolist()} out of range for n={params.n} (0-based)"
         )
-    x_new, y_new = _apply(state, active, params, net)
-    return SystemState(x_new, np.clip(y_new, 0.0, 1.0))
+    s, y_raw = _apply(state.y, active, params, net)
+    x_new = np.array(state.x)
+    y_new = np.array(state.y)
+    x_new[active] = s
+    y_new[active] = np.clip(y_raw, 0.0, 1.0)
+    return SystemState(x_new, y_new)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A recorded run: states[0] is the initial state.
+    """A recorded run, one row per recorded state; row 0 is the initial state.
 
-    ``active_sets[t]`` is the set whose revision produced ``states[t+1]``, so
-    it has one fewer entry than ``states``. ``potentials`` aligns with
-    ``states`` and is None unless every player has zero prejudice attachment
-    and positive opinion weight (the regime where the potential is defined).
+    ``x`` (int8) and ``y`` (float64) are ``(rows, n)`` arrays of actions and
+    opinions. ``active_sets[t]`` is the set whose revision produced row
+    ``t+1``, so it has one fewer entry than there are rows. ``potentials``
+    aligns with the rows and is None unless every player has zero prejudice
+    attachment and positive opinion weight (the regime where the potential is
+    defined) and every step was recorded. ``stop_detail`` names the diverging
+    player and value when ``stop_reason`` is ``divergence_guard`` and is empty
+    otherwise.
     """
 
-    states: tuple[SystemState, ...]
+    x: np.ndarray
+    y: np.ndarray
     active_sets: tuple[tuple[int, ...], ...]
-    potentials: tuple[float, ...] | None
+    potentials: np.ndarray | None
     stop_reason: str
+    stop_detail: str = ""
 
     def __post_init__(self):
-        expected = max(len(self.states) - 1, 0)
+        x = np.asarray(self.x, dtype=np.int8)
+        y = np.asarray(self.y, dtype=float)
+        if x.ndim != 2 or x.shape != y.shape:
+            raise ValueError(
+                f"actions and opinions must be (rows, n) arrays of one shape, "
+                f"got {x.shape} and {y.shape}"
+            )
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        expected = max(len(x) - 1, 0)
         if len(self.active_sets) != expected:
             raise ValueError(
-                f"{len(self.states)} states need {expected} active sets, "
-                f"got {len(self.active_sets)}"
+                f"{len(x)} states need {expected} active sets, got {len(self.active_sets)}"
             )
-        if self.potentials is not None and len(self.potentials) != len(self.states):
-            raise ValueError("potentials must align with states")
+        if self.potentials is not None:
+            potentials = np.asarray(self.potentials, dtype=float)
+            if potentials.shape != (len(x),):
+                raise ValueError("potentials must align with states")
+            object.__setattr__(self, "potentials", potentials)
         # "unknown" marks trajectories parsed back from files, which do not
         # carry the stop reason
         if self.stop_reason not in ("fixed_point", "max_steps", "divergence_guard", "unknown"):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
 
     @property
+    def states(self) -> tuple[SystemState, ...]:
+        """Every recorded row as a validated state, built on each access."""
+        return tuple(SystemState(x, y) for x, y in zip(self.x, self.y))
+
+    @property
     def final(self) -> SystemState:
-        if not self.states:
+        if not len(self):
             raise ValueError("empty trajectory has no final state")
-        return self.states[-1]
+        return SystemState(self.x[-1], self.y[-1])
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.x.shape[0]
+
+
+class _Rows:
+    """Action and opinion rows of a recorded run, doubling in capacity when full."""
+
+    def __init__(self, n: int, capacity: int):
+        self.t = 0
+        self.x = np.empty((capacity, n), dtype=np.int8)
+        self.y = np.empty((capacity, n))
+
+    def append(self, x: np.ndarray, y: np.ndarray) -> None:
+        t = self.t
+        if t == len(self.x):
+            self.x, self.y = _doubled(self.x), _doubled(self.y)
+        self.x[t] = x
+        self.y[t] = y
+        self.t = t + 1
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The filled rows, without the spare capacity."""
+        return self.x[: self.t].copy(), self.y[: self.t].copy()
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def run(
@@ -205,6 +255,7 @@ def run(
     net: Network,
     max_steps: int = 1_000_000,
     fixed_point_tol: float = 1e-10,
+    record: bool = True,
 ) -> Trajectory:
     """Iterate the dynamics along the schedule until stationary or out of budget.
 
@@ -214,8 +265,12 @@ def run(
     ``max_steps`` when the budget runs out first, and with
     ``divergence_guard`` if an update leaves the valid region by more than
     dust, which cannot happen under valid inputs and signals an internal
-    fault. The potential of every recorded state is logged whenever it is
-    defined (all gamma zero, all beta positive).
+    fault; the trajectory then ends at the last valid state.
+
+    With ``record`` every state is kept, and the potential of each is logged
+    whenever it is defined (all gamma zero, all beta positive). Without it
+    only the final state is kept and no potential is computed, so memory does
+    not grow with ``max_steps``.
     """
     _check_compatible(initial, params, net)
     if max_steps < 1:
@@ -223,45 +278,65 @@ def run(
     if schedule.n != params.n:
         raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
 
-    track_potential = bool((params.gamma == 0.0).all() and (params.beta > 0.0).all())
-    states = [initial]
+    x = initial.x.astype(np.int8)
+    y = np.array(initial.y)
+    rows: _Rows | None = None
+    potentials: list[float] | None = None
+    if record:
+        rows = _Rows(params.n, min(max_steps + 1, 1024))
+        rows.append(x, y)
+        if (params.gamma == 0.0).all() and (params.beta > 0.0).all():
+            potential_of = _potential_evaluator(params, net)
+            potentials = [potential_of(y)]
     active_sets: list[tuple[int, ...]] = []
-    potentials: list[float] | None = [potential(initial.y, params, net)] if track_potential else None
+    # schedules repeat a few distinct sets; sort each into an index array once
+    prepared: dict[tuple[int, ...], tuple[np.ndarray, tuple[int, ...]]] = {}
 
+    lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
     window = schedule.stability_window
     streak = 0
     stop_reason = "max_steps"
+    stop_detail = ""
     sets_iter = schedule.sets()
-    current = initial
     for _ in range(max_steps):
-        active = np.unique(np.asarray(next(sets_iter), dtype=np.int64))
-        x_raw, y_raw = _apply(current, active, params, net)
-        if (
-            not np.isfinite(y_raw).all()
-            or (y_raw < -_DIVERGENCE_BAND).any()
-            or (y_raw > 1.0 + _DIVERGENCE_BAND).any()
-        ):
+        key = next(sets_iter)
+        entry = prepared.get(key)
+        if entry is None:
+            active = np.unique(np.asarray(key, dtype=np.int64))
+            entry = prepared[key] = (active, tuple(int(i) for i in active))
+        active, active_set = entry
+        s, y_raw = _apply(y, active, params, net)
+        # NaN fails both comparisons, so non-finite updates trip the guard too
+        if not (y_raw.min() >= lo and y_raw.max() <= hi):
+            bad = int(np.argmax(~((y_raw >= lo) & (y_raw <= hi))))
             stop_reason = "divergence_guard"
+            stop_detail = f"player {int(active[bad]) + 1}: raw opinion {float(y_raw[bad])!r}"
             break
-        new = SystemState(x_raw, np.clip(y_raw, 0.0, 1.0))
+        y_active = np.clip(y_raw, 0.0, 1.0)
+        # inactive coordinates are untouched, so they contribute exactly 0
         change = max(
-            float(np.max(np.abs(new.y - current.y))),
-            float(np.max(np.abs(new.x - current.x))),
+            float(np.max(np.abs(y_active - y[active]))),
+            float(np.max(np.abs(s - x[active]))),
         )
-        states.append(new)
-        active_sets.append(tuple(int(i) for i in active))
-        if potentials is not None:
-            potentials.append(potential(new.y, params, net))
-        current = new
+        x[active] = s
+        y[active] = y_active
+        if rows is not None:
+            rows.append(x, y)
+            active_sets.append(active_set)
+            if potentials is not None:
+                potentials.append(potential_of(y))
         streak = streak + 1 if change <= fixed_point_tol else 0
         if streak >= window:
             stop_reason = "fixed_point"
             break
+    X, Y = rows.arrays() if rows is not None else (x[None, :], y[None, :])
     return Trajectory(
-        states=tuple(states),
+        x=X,
+        y=Y,
         active_sets=tuple(active_sets),
-        potentials=tuple(potentials) if potentials is not None else None,
+        potentials=potentials,
         stop_reason=stop_reason,
+        stop_detail=stop_detail,
     )
 
 
@@ -308,10 +383,29 @@ def potential(y, params: ModelParams, net: Network) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape != (params.n,):
         raise ValueError(f"opinion vector must have length {params.n}, got shape {y.shape}")
-    diffs = y[:, None] - y[None, :]
-    disagreement = float((net.W / 2.0 * diffs**2).sum())
-    anchor = float(((params.lam / params.beta) * y**2).sum())
-    return -0.5 * (disagreement + anchor)
+    return _potential_evaluator(params, net)(y)
+
+
+def _potential_evaluator(params: ModelParams, net: Network):
+    """``potential`` as a function of ``y`` alone, for repeated evaluation.
+
+    The weights are divided once and the pairwise terms reuse one n-by-n
+    buffer; the operations and their order are those of the plain
+    expression ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``.
+    """
+    half_w = net.W / 2.0
+    anchor_w = params.lam / params.beta
+    buf = np.empty_like(half_w)
+
+    def evaluate(y: np.ndarray) -> float:
+        np.subtract(y[:, None], y[None, :], out=buf)
+        np.square(buf, out=buf)
+        np.multiply(half_w, buf, out=buf)
+        disagreement = float(buf.sum())
+        anchor = float((anchor_w * y**2).sum())
+        return -0.5 * (disagreement + anchor)
+
+    return evaluate
 
 
 def potential_matrix(params: ModelParams, net: Network) -> np.ndarray:

@@ -430,6 +430,7 @@ def sweep(
                 net,
                 max_steps=max_steps,
                 fixed_point_tol=fixed_point_tol,
+                record=False,
             )
             label = classify_state(traj.final).full_class
             counts[label] = counts.get(label, 0) + 1

@@ -50,19 +50,32 @@ def render_trajectory_csv(traj: Trajectory) -> str:
     """CSV rows: t, active (semicolon-joined 1-based ids of the revision that
     produced this row's state; empty at t=0), x_1..x_n, y_1..y_n, potential.
 
-    An empty trajectory renders as the header line alone.
+    An empty trajectory renders as the header line alone. Consecutive rows
+    differ in few cells, so each row re-formats only the cells whose value
+    changed since the row before; opinions are compared by their bits, which
+    tells -0.0 from 0.0.
     """
-    n = traj.states[0].n if traj.states else 0
+    X, Y, pots = traj.x, traj.y, traj.potentials
+    rows, n = X.shape
     lines = [",".join(_trajectory_header(n))]
-    for t, state in enumerate(traj.states):
-        active = "" if t == 0 else ";".join(str(i + 1) for i in traj.active_sets[t - 1])
-        pot = "" if traj.potentials is None else format_real(traj.potentials[t])
+    if rows:
+        y_bits = np.ascontiguousarray(Y).view(np.int64)
         cells = (
-            [str(t), active]
-            + [str(int(v)) for v in state.x]
-            + [format_real(v) for v in state.y]
-            + [pot]
+            ["0", ""]
+            + [str(int(v)) for v in X[0]]
+            + [format_real(v) for v in Y[0]]
+            + ["" if pots is None else format_real(pots[0])]
         )
+        lines.append(",".join(cells))
+    for t in range(1, rows):
+        cells[0] = str(t)
+        cells[1] = ";".join(str(i + 1) for i in traj.active_sets[t - 1])
+        for i in np.flatnonzero(X[t] != X[t - 1]).tolist():
+            cells[2 + i] = str(int(X[t, i]))
+        for i in np.flatnonzero(y_bits[t] != y_bits[t - 1]).tolist():
+            cells[2 + n + i] = format_real(Y[t, i])
+        if pots is not None:
+            cells[-1] = format_real(pots[t])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -70,13 +83,13 @@ def render_trajectory_csv(traj: Trajectory) -> str:
 def render_trajectory_jsonl(traj: Trajectory) -> str:
     """One JSON object per recorded state, same fields as the CSV columns."""
     out = []
-    for t, state in enumerate(traj.states):
+    for t in range(len(traj)):
         active = [] if t == 0 else [i + 1 for i in traj.active_sets[t - 1]]
         obj = {
             "t": t,
             "active": active,
-            "x": [int(v) for v in state.x],
-            "y": [float(v) for v in state.y],
+            "x": traj.x[t].tolist(),
+            "y": traj.y[t].tolist(),
             "potential": None if traj.potentials is None else float(traj.potentials[t]),
         }
         out.append(json.dumps(obj, sort_keys=True))
@@ -96,21 +109,40 @@ def emit_trajectory(traj: Trajectory, path: str, format: str = "csv") -> None:
 def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     """Parse a trajectory file back into states, active sets, and potentials.
 
+    Every row must hold a valid state: actions 0 or 1, opinions in [0, 1].
     Files do not carry the in-memory stop reason, so the result's stop_reason
     is "unknown".
     """
     if format == "csv":
-        states, actives, pots = _parse_trajectory_csv(path)
+        parse = _parse_trajectory_csv
     elif format == "json-lines":
-        states, actives, pots = _parse_trajectory_jsonl(path)
+        parse = _parse_trajectory_jsonl
     else:
         raise ValueError(f"unknown trajectory format {format!r}; use 'csv' or 'json-lines'")
+    X, Y, linenos, actives, pots = parse(path)
+    _check_rows(path, X, Y, linenos)
     return Trajectory(
-        states=tuple(states),
+        x=X,
+        y=Y,
         active_sets=tuple(actives),
-        potentials=tuple(pots) if pots is not None else None,
+        potentials=pots,
         stop_reason="unknown",
     )
+
+
+def _check_rows(path: str, X: np.ndarray, Y: np.ndarray, linenos: list[int]) -> None:
+    """Reject the first row that is not a valid state, naming its line and player."""
+    checks = (
+        (X, (X != 0) & (X != 1), "action must be 0 or 1"),
+        (Y, ~((Y >= 0.0) & (Y <= 1.0)), "opinion must lie in [0, 1]"),
+    )
+    for values, bad, rule in checks:
+        if bad.any():
+            row, player = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise ValueError(
+                f"{path}:{linenos[row]}: player {player + 1}: {rule}, "
+                f"got {values[row, player].item()!r}"
+            )
 
 
 def _parse_active(cell: str) -> tuple[int, ...]:
@@ -121,10 +153,12 @@ def _parse_active(cell: str) -> tuple[int, ...]:
 
 def _parse_trajectory_csv(path: str):
     with open(path, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
-    if not lines:
+        numbered = [
+            (lineno, line.rstrip("\n")) for lineno, line in enumerate(f, start=1) if line.strip()
+        ]
+    if not numbered:
         raise ValueError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
+    header = numbered[0][1].split(",")
     if (
         len(header) < 3
         or header[:2] != ["t", "active"]
@@ -133,23 +167,25 @@ def _parse_trajectory_csv(path: str):
     ):
         raise ValueError(f"{path}: unrecognised trajectory header")
     n = (len(header) - 3) // 2
-    states: list[SystemState] = []
+    rows = len(numbered) - 1
+    X = np.empty((rows, n), dtype=np.int64)
+    Y = np.empty((rows, n))
+    linenos: list[int] = []
     actives: list[tuple[int, ...]] = []
     pots: list[float] | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for t, (lineno, line) in enumerate(numbered[1:]):
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
             )
-        t = int(cells[0])
-        if t != len(states):
-            raise ValueError(f"{path}:{lineno}: time index {t} out of order")
+        if int(cells[0]) != t:
+            raise ValueError(f"{path}:{lineno}: time index {cells[0]} out of order")
         if t > 0:
             actives.append(_parse_active(cells[1]))
-        x = np.array([int(c) for c in cells[2 : 2 + n]], dtype=np.int64)
-        y = np.array([float(c) for c in cells[2 + n : 2 + 2 * n]])
-        states.append(SystemState(x, y))
+        X[t] = [int(c) for c in cells[2 : 2 + n]]
+        Y[t] = [float(c) for c in cells[2 + n : 2 + 2 * n]]
+        linenos.append(lineno)
         pot_cell = cells[-1]
         if t == 0:
             pots = [] if pot_cell != "" else None
@@ -157,11 +193,13 @@ def _parse_trajectory_csv(path: str):
             if pot_cell == "":
                 raise ValueError(f"{path}:{lineno}: missing potential value")
             pots.append(float(pot_cell))
-    return states, actives, pots
+    return X, Y, linenos, actives, pots
 
 
 def _parse_trajectory_jsonl(path: str):
-    states: list[SystemState] = []
+    xs: list[list] = []
+    ys: list[list] = []
+    linenos: list[int] = []
     actives: list[tuple[int, ...]] = []
     pots: list[float] | None = None
     with open(path, encoding="utf-8") as f:
@@ -174,20 +212,29 @@ def _parse_trajectory_jsonl(path: str):
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             t = int(obj["t"])
-            if t != len(states):
+            if t != len(xs):
                 raise ValueError(f"{path}:{lineno}: time index {t} out of order")
             if t > 0:
                 actives.append(tuple(int(i) - 1 for i in obj["active"]))
-            states.append(
-                SystemState(np.array(obj["x"], dtype=np.int64), np.array(obj["y"], dtype=float))
-            )
+            n = len(xs[0]) if xs else len(obj["x"])
+            if len(obj["x"]) != n or len(obj["y"]) != n:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {n} actions and {n} opinions, "
+                    f"got {len(obj['x'])} and {len(obj['y'])}"
+                )
+            xs.append(obj["x"])
+            ys.append(obj["y"])
+            linenos.append(lineno)
             if t == 0:
                 pots = [] if obj.get("potential") is not None else None
             if pots is not None:
                 if obj.get("potential") is None:
                     raise ValueError(f"{path}:{lineno}: missing potential value")
                 pots.append(float(obj["potential"]))
-    return states, actives, pots
+    n = len(xs[0]) if xs else 0
+    X = np.array(xs, dtype=np.int64).reshape(len(xs), n)
+    Y = np.array(ys, dtype=float).reshape(len(ys), n)
+    return X, Y, linenos, actives, pots
 
 
 def write_json(obj, path: str) -> None:

@@ -132,7 +132,29 @@ class TestSimulate:
         assert overridden == repeat
 
 
+    def test_divergence_summary_names_the_player(self, config_path, capsys, monkeypatch):
+        import coevo.dynamics as dynamics_module
+
+        real_apply = dynamics_module._apply
+
+        def poisoned(y, active, params, net):
+            s, y_raw = real_apply(y, active, params, net)
+            return s, y_raw - 2.0
+
+        monkeypatch.setattr(dynamics_module, "_apply", poisoned)
+        assert cli_main(["simulate", config_path]) == 0
+        err = capsys.readouterr().err
+        assert "stopped after 0 steps: divergence_guard (player 1: raw opinion -" in err
+
+
 class TestEnumerate:
+    def test_max_n_default_is_the_enumeration_limit(self):
+        from coevo.cli import _build_parser
+        from coevo.equilibria import ENUMERATION_MAX_N
+
+        args = _build_parser().parse_args(["enumerate", "c.json"])
+        assert args.max_n == ENUMERATION_MAX_N
+
     def test_json_document(self, config_path, capsys):
         assert cli_main(["enumerate", config_path, "--quiet"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import coevo.dynamics as dynamics_module
 from coevo.dynamics import (
+    SCHEDULE_KINDS,
     RevisionSchedule,
     Trajectory,
     classify_state,
@@ -232,6 +233,40 @@ class TestRun:
         assert traj.stop_reason == "divergence_guard"
         assert len(traj) == 3
         assert float(traj.final.y.max()) <= 1.0
+        # the third round-robin revision is player 3's, poisoned by +5
+        _, y_raw = real_apply(traj.final.y, np.array([2]), params_r2, complete4)
+        assert traj.stop_detail == f"player 3: raw opinion {float(y_raw[0]) + 5.0!r}"
+
+    def test_stop_detail_empty_unless_diverged(self, params_r2, complete4):
+        for max_steps in (3, 1000):
+            traj = run(
+                SystemState.all_cooperation(4),
+                make_schedule("round-robin", 4),
+                params_r2,
+                complete4,
+                max_steps=max_steps,
+            )
+            assert traj.stop_reason in ("max_steps", "fixed_point")
+            assert traj.stop_detail == ""
+
+    @pytest.mark.parametrize("max_steps", [2, 3, 20_000])
+    def test_final_only_recording_holds_one_row(self, max_steps):
+        # a synchronous 2-cycle: both players swap (action, opinion) every
+        # step, so the run always spends its whole budget
+        net = Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        params = ModelParams.uniform(2, 1.9, 0.01, 0.495)
+        initial = SystemState(np.array([1, 0]), np.array([1.0, 0.0]))
+        traj = run(
+            initial, make_schedule("synchronous", 2), params, net,
+            max_steps=max_steps, record=False,
+        )
+        assert traj.stop_reason == "max_steps"
+        assert len(traj) == 1
+        assert traj.x.shape == traj.y.shape == (1, 2)
+        assert traj.active_sets == ()
+        assert traj.potentials is None
+        swapped = SystemState(np.array([0, 1]), np.array([0.0, 1.0]))
+        assert traj.final == (initial if max_steps % 2 == 0 else swapped)
 
     def test_opinions_stay_bounded(self, rng):
         for _ in range(10):
@@ -389,14 +424,14 @@ class TestClassifyState:
 
 class TestTrajectoryType:
     def test_mismatched_active_sets_rejected(self):
-        z = SystemState.all_defection(2)
+        z = np.zeros((2, 2))
         with pytest.raises(ValueError, match="active sets"):
-            Trajectory(states=(z, z), active_sets=(), potentials=None, stop_reason="max_steps")
+            Trajectory(x=z, y=z, active_sets=(), potentials=None, stop_reason="max_steps")
 
     def test_unknown_stop_reason_rejected(self):
-        z = SystemState.all_defection(2)
+        z = np.zeros((1, 2))
         with pytest.raises(ValueError, match="stop reason"):
-            Trajectory(states=(z,), active_sets=(), potentials=None, stop_reason="crashed")
+            Trajectory(x=z, y=z, active_sets=(), potentials=None, stop_reason="crashed")
 
     def test_states_differ_only_at_active_coordinates(self, rng):
         for _ in range(10):
@@ -435,3 +470,57 @@ def test_runs_from_random_states_stay_valid_and_stop(seed, kind):
     final = traj.final
     assert ((final.x == 0) | (final.x == 1)).all()
     assert (final.y >= 0.0).all() and (final.y <= 1.0).all()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SCHEDULE_KINDS),
+    st.booleans(),
+    st.integers(1, 300),
+)
+def test_recorded_run_matches_step_replay(seed, kind, prejudiced, max_steps):
+    # oracle for the in-place loop: every recorded row is one validated
+    # step() of the row before, bit for bit, and every potential is the
+    # public potential() of its row
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    params = random_interior_params(rng, n)
+    if prejudiced:
+        params = ModelParams(
+            n=n,
+            r=params.r,
+            alpha=params.alpha,
+            beta=params.beta,
+            lam=params.lam,
+            gamma=rng.uniform(0.0, 0.9, n),
+            prejudice=rng.random(n),
+        )
+    net = random_row_stochastic(rng, n)
+    initial = random_state(rng, n)
+    schedule = make_schedule(kind, n, seed=seed)
+    traj = run(initial, schedule, params, net, max_steps=max_steps)
+    states = traj.states
+    assert states[0] == initial
+    assert len(traj.active_sets) == len(states) - 1
+    for t, active in enumerate(traj.active_sets):
+        replayed = step(states[t], active, params, net)
+        np.testing.assert_array_equal(replayed.x, states[t + 1].x)
+        np.testing.assert_array_equal(_bits(replayed.y), _bits(states[t + 1].y))
+    if prejudiced:
+        assert traj.potentials is None
+    else:
+        assert traj.potentials is not None
+        for t, state in enumerate(states):
+            assert traj.potentials[t] == potential(state.y, params, net)
+
+    lean = run(initial, schedule, params, net, max_steps=max_steps, record=False)
+    assert len(lean) == 1
+    assert lean.stop_reason == traj.stop_reason
+    assert lean.potentials is None
+    np.testing.assert_array_equal(lean.x[0], traj.x[-1])
+    np.testing.assert_array_equal(_bits(lean.y[0]), _bits(traj.y[-1]))

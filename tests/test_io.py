@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coevo.cli import cli_main
 from coevo.dynamics import Trajectory, make_schedule, run
 from coevo.equilibria import check_all_defection_unique, enumerate_equilibria, verify_nash
 from coevo.io import (
@@ -45,8 +48,27 @@ def make_trajectory(rng, n=4, with_potentials=True, steps=6) -> Trajectory:
     )
     pots = tuple(float(v) for v in rng.normal(size=steps + 1)) if with_potentials else None
     return Trajectory(
-        states=tuple(states), active_sets=actives, potentials=pots, stop_reason="max_steps"
+        x=np.array([s.x for s in states]),
+        y=np.array([s.y for s in states]),
+        active_sets=actives,
+        potentials=pots,
+        stop_reason="max_steps",
     )
+
+
+def reference_csv(traj: Trajectory) -> str:
+    """Every cell of every row formatted afresh: the oracle for the renderer."""
+    n = traj.x.shape[1]
+    header = ["t", "active"] + [f"x_{i}" for i in range(1, n + 1)]
+    header += [f"y_{i}" for i in range(1, n + 1)] + ["potential"]
+    lines = [",".join(header)]
+    for t, state in enumerate(traj.states):
+        active = "" if t == 0 else ";".join(str(i + 1) for i in traj.active_sets[t - 1])
+        pot = "" if traj.potentials is None else format_real(traj.potentials[t])
+        cells = [str(t), active] + [str(int(v)) for v in state.x]
+        cells += [format_real(v) for v in state.y] + [pot]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 class TestFormatReal:
@@ -96,6 +118,37 @@ class TestTrajectoryFiles:
         second = lines[2].split(",")
         assert second[1] == "1"
 
+    def test_csv_matches_full_reformatting(self, rng):
+        # rows that repeat, flip single cells, and swap 0.0 for -0.0 (equal
+        # by value, different text) exercise the changed-cells renderer
+        for with_pots in (True, False):
+            n, steps = 4, 40
+            x = rng.integers(0, 2, size=(steps + 1, n))
+            y = rng.choice([0.0, -0.0, 0.25, 1 / 3, 1.0], size=(steps + 1, n))
+            keep = rng.random((steps + 1, n)) < 0.6
+            for t in range(1, steps + 1):
+                x[t, keep[t]] = x[t - 1, keep[t]]
+                y[t, keep[t]] = y[t - 1, keep[t]]
+            traj = Trajectory(
+                x=x,
+                y=y,
+                active_sets=tuple((int(i),) for i in rng.integers(0, n, size=steps)),
+                potentials=rng.normal(size=steps + 1) if with_pots else None,
+                stop_reason="max_steps",
+            )
+            assert render_trajectory_csv(traj) == reference_csv(traj)
+
+    def test_csv_rerenders_signed_zero(self):
+        traj = Trajectory(
+            x=np.zeros((3, 1)),
+            y=np.array([[0.0], [-0.0], [0.0]]),
+            active_sets=((0,), (0,)),
+            potentials=None,
+            stop_reason="max_steps",
+        )
+        rows = render_trajectory_csv(traj).splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0", "-0", "0"]
+
     def test_round_trip_csv_bit_exact(self, rng, tmp_path):
         for with_pots in (True, False):
             traj = make_trajectory(rng, n=5, with_potentials=with_pots)
@@ -116,7 +169,8 @@ class TestTrajectoryFiles:
     def test_round_trip_preserves_awkward_doubles(self, tmp_path):
         y = np.array([np.nextafter(0.0, 1.0), 1 / 3, np.nextafter(1.0, 0.0)])
         traj = Trajectory(
-            states=(SystemState(np.array([0, 1, 0]), y),),
+            x=np.array([[0, 1, 0]]),
+            y=y[None, :],
             active_sets=(),
             potentials=(-1 / 7,),
             stop_reason="max_steps",
@@ -129,7 +183,9 @@ class TestTrajectoryFiles:
             assert back.potentials[0] == -1 / 7
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
-        empty = Trajectory(states=(), active_sets=(), potentials=None, stop_reason="unknown")
+        empty = Trajectory(
+            x=np.zeros((0, 0)), y=np.zeros((0, 0)), active_sets=(), potentials=None, stop_reason="unknown"
+        )
         assert render_trajectory_csv(empty) == "t,active,potential\n"
         path = str(tmp_path / "empty.csv")
         emit_trajectory(empty, path)
@@ -167,6 +223,26 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=r"bad\.csv:3: missing potential"):
             load_trajectory(str(path))
 
+    def test_invalid_rows_name_line_and_player(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = "t,active,x_1,x_2,y_1,y_2,potential\n"
+        path.write_text(header + "0,,1,0,0.5,0.5,\n\n1,1,1,2,0.5,0.5,\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: player 2: action must be 0 or 1, got 2"):
+            load_trajectory(str(path))
+        path.write_text(header + "0,,1,0,0.5,0.5,\n1,1,1,0,0.5,nan,\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: player 2: opinion must lie in \[0, 1\]"):
+            load_trajectory(str(path))
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t": 0, "active": [], "x": [0, 1], "y": [0.5, 1.5]}\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: player 2: opinion must lie"):
+            load_trajectory(str(path), format="json-lines")
+        path.write_text(
+            '{"t": 0, "active": [], "x": [0, 1], "y": [0.5, 1]}\n'
+            '{"t": 1, "active": [1], "x": [0], "y": [0.5]}\n'
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: expected 2 actions and 2 opinions"):
+            load_trajectory(str(path), format="json-lines")
+
     def test_jsonl_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"t": 0, "active": [], "x": [0], "y": [0.5]}\n{nope}\n')
@@ -175,10 +251,8 @@ class TestTrajectoryFiles:
 
     def test_active_column_uses_one_based_ids(self, rng, tmp_path):
         traj = Trajectory(
-            states=(
-                SystemState(np.array([0, 0, 0]), np.zeros(3)),
-                SystemState(np.array([0, 0, 0]), np.zeros(3)),
-            ),
+            x=np.zeros((2, 3)),
+            y=np.zeros((2, 3)),
             active_sets=((0, 2),),
             potentials=None,
             stop_reason="max_steps",
@@ -231,3 +305,79 @@ class TestJsonRendering:
         assert parsed["action_profiles_scanned"] == 16
         assert parsed["equilibria"][0]["x"] == [0, 0, 0, 0]
         assert parsed["equilibria"][0]["class"]["full_class"] == "all-defection-consensus"
+
+
+#: Small simulate configs, one per schedule kind, plus one with prejudice
+#: attachment (gamma > 0), where the potential column is empty.
+GOLDEN_CONFIGS = {
+    "ring-round-robin": {
+        "params": {"n": 7, "r": 2.0, "alpha": 0.4, "beta": 0.3},
+        "network": {"type": "ring"},
+        "schedule": {"kind": "round-robin"},
+        "initial_state": {"preset": "random", "seed": 1},
+        "run": {"max_steps": 400},
+    },
+    "random-shuffled-rounds": {
+        "params": {
+            "n": 6,
+            "r": 3.5,
+            "alpha": [0.2, 0.3, 0.25, 0.1, 0.4, 0.3],
+            "beta": [0.5, 0.3, 0.45, 0.6, 0.3, 0.2],
+        },
+        "network": {"type": "random", "edge_probability": 0.5, "seed": 2},
+        "schedule": {"kind": "shuffled-rounds", "seed": 5},
+        "initial_state": {"preset": "random", "seed": 3},
+        "run": {"max_steps": 400},
+    },
+    "complete-iid-random": {
+        "params": {"n": 5, "r": 4.6, "alpha": 0.1, "beta": 0.3},
+        "network": {"type": "complete"},
+        "schedule": {"kind": "iid-random", "seed": 9},
+        "initial_state": {"preset": "random", "seed": 4},
+        "run": {"max_steps": 300},
+    },
+    "two-cycle-synchronous": {
+        "params": {"n": 2, "r": 1.9, "alpha": 0.01, "beta": 0.495},
+        "network": {"type": "inline", "matrix": [[0, 1], [1, 0]]},
+        "schedule": {"kind": "synchronous"},
+        "initial_state": {"x": [1, 0], "y": [1.0, 0.0]},
+        "run": {"max_steps": 40},
+    },
+    "prejudice-shuffled-rounds": {
+        "params": {
+            "n": 5, "r": 2.5, "alpha": 0.3, "beta": 0.4, "gamma": 0.25, "prejudice": 0.8
+        },
+        "network": {"type": "random-symmetric", "edge_probability": 0.6, "seed": 4},
+        "schedule": {"kind": "shuffled-rounds", "seed": 2},
+        "initial_state": {"preset": "random", "seed": 6},
+        "run": {"max_steps": 300},
+    },
+}
+
+#: SHA-256 of ``coevo simulate`` output for each golden config and format,
+#: recorded from the per-state implementation of the dynamics and renderers.
+GOLDEN_DIGESTS = {
+    ("ring-round-robin", "csv"): "40070c23aa8196fdecb735cda623072ccab1650d44f559850e5dfb0e82e8c855",
+    ("ring-round-robin", "json-lines"): "ccac55b68a79cea83db61d57452fd866b3bcab247742b4f6db174e1d536dfa8f",
+    ("random-shuffled-rounds", "csv"): "2577c3422f9135c4e77e33c271d4c5f0b72c347627d4294e04be779bdc2837f9",
+    ("random-shuffled-rounds", "json-lines"): "49f6fce25ed6cbac714292c0772dfc8cc3cd5b998fb52be3ec955ec53cb18c3e",
+    ("complete-iid-random", "csv"): "dfecd0c8f41e2ef7914bce10d43700e7328b53194e370caf3ec02b115a4e4752",
+    ("complete-iid-random", "json-lines"): "d72885ddd8ae9b2ecd8140acf0a70f8858923cc830dd49e73fd57bbecb6faeae",
+    ("two-cycle-synchronous", "csv"): "1599b37f7f7dd6291078ff68b0b7f2ffb14bdd88b14d7219501b6cf5a4ebf5af",
+    ("two-cycle-synchronous", "json-lines"): "ae41ae7bdbfbb72a783475eb6ec89816960ef9ddfa8cab2f0644f33fa6a89350",
+    ("prejudice-shuffled-rounds", "csv"): "ff83ea6ea0a798d334e3761084703a6eb7a5cd92e5a478bfa50ff8c5426293f7",
+    ("prejudice-shuffled-rounds", "json-lines"): "34ccad82cefde9b311eee6d425de2ac5a719d616132f4c32127da503b1acf84a",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_recorded_digests(name, fmt, tmp_path, capsys):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(GOLDEN_CONFIGS[name]))
+    out = tmp_path / "trajectory"
+    argv = ["simulate", str(config), "--format", fmt, "--quiet"]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[name, fmt]
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
