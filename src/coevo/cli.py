@@ -24,13 +24,12 @@ from .equilibria import (
     sweep,
 )
 from .io import (
+    TRAJECTORY_FORMATS,
+    atomic_write,
     best_response_to_jsonable,
     condition_report_to_jsonable,
-    emit_trajectory,
     equilibrium_report_to_jsonable,
     render_json,
-    render_trajectory_csv,
-    render_trajectory_jsonl,
     sweep_table_to_jsonable,
     write_json,
 )
@@ -59,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format",
-        choices=("csv", "json-lines"),
+        choices=tuple(TRAJECTORY_FORMATS),
         default="csv",
         help="trajectory file format (default csv)",
     )
@@ -104,13 +103,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        from .io import atomic_write
-
         atomic_write(out, text)
 
 
-def _cmd_validate(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+def _cmd_validate(args, cfg) -> int:
     if not args.quiet:
         print(
             f"config OK: {cfg.params.n} players, r={cfg.params.r}, "
@@ -120,8 +116,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+def _cmd_simulate(args, cfg) -> int:
     traj = run(
         cfg.initial_state,
         cfg.schedule,
@@ -130,11 +125,8 @@ def _cmd_simulate(args) -> int:
         max_steps=cfg.max_steps,
         fixed_point_tol=cfg.fixed_point_tol,
     )
-    if args.out is None:
-        render = render_trajectory_csv if args.format == "csv" else render_trajectory_jsonl
-        sys.stdout.write(render(traj))
-    else:
-        emit_trajectory(traj, args.out, format=args.format)
+    render, _ = TRAJECTORY_FORMATS[args.format]
+    _emit(render(traj), args.out)
     if not args.quiet:
         cls = classify_state(traj.final)
         detail = f" ({traj.stop_detail})" if traj.stop_detail else ""
@@ -146,8 +138,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+def _cmd_enumerate(args, cfg) -> int:
     report = enumerate_equilibria(cfg.params, cfg.network, max_n=args.max_n)
     _emit(render_json(equilibrium_report_to_jsonable(report)), args.out)
     if not args.quiet:
@@ -167,8 +158,7 @@ def _format_condition_line(report) -> str:
     return f"{report.condition_id}: fails for player(s) {', '.join(failing)}"
 
 
-def _cmd_check_conditions(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+def _cmd_check_conditions(args, cfg) -> int:
     defection = check_all_defection_unique(cfg.params)
     cooperation = check_all_cooperation_exists(cfg.params)
     print(_format_condition_line(defection))
@@ -184,8 +174,7 @@ def _cmd_check_conditions(args) -> int:
     return 0
 
 
-def _cmd_best_response(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+def _cmd_best_response(args, cfg) -> int:
     n = cfg.params.n
     if not 1 <= args.player <= n:
         raise ConfigError(f"--player must be in 1..{n}, got {args.player}")
@@ -202,8 +191,7 @@ def _cmd_best_response(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+def _cmd_sweep(args, cfg) -> int:
     if cfg.sweep_grid is None:
         raise ConfigError(
             f"{args.config}: no sweep section; add "
@@ -252,11 +240,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return _COMMANDS[args.command](args, load_config(args.config, seed_override=args.seed))
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports faults as exit 2

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SCHEDULE_KINDS, RevisionSchedule, make_schedule
+from .dynamics import RevisionSchedule, make_schedule
 from .model import ModelParams, Network, SystemState
 from . import networks
 
@@ -47,7 +47,20 @@ class ExperimentConfig:
     fixed_point_tol: float
     sweep_grid: dict | None
     sweep_trials: int
-    raw: dict
+
+
+def _numbers(values, name: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of numbers") from None
+
+
+def _integer(section: dict, key: str, default: int, where: str) -> int:
+    try:
+        return int(section.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key} must be an integer") from None
 
 
 def _vector(section: dict, key: str, n: int, default=None, alias: str | None = None):
@@ -63,10 +76,7 @@ def _vector(section: dict, key: str, n: int, default=None, alias: str | None = N
     if isinstance(value, list):
         if len(value) != n:
             raise ConfigError(f"params.{key} must have {n} entries, got {len(value)}")
-        try:
-            return np.array([float(v) for v in value])
-        except (TypeError, ValueError):
-            raise ConfigError(f"params.{key} entries must be numbers") from None
+        return np.array(_numbers(value, f"params.{key}"))
     raise ConfigError(f"params.{key} must be a number or a list of {n} numbers")
 
 
@@ -79,7 +89,7 @@ def _build_params(section) -> ModelParams:
     try:
         n = int(section["n"])
         r = float(section["r"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("params.n must be an integer and params.r a number") from None
     alpha = _vector(section, "alpha", n)
     beta = _vector(section, "beta", n)
@@ -151,7 +161,7 @@ def _build_network(section, n: int, base_dir: str) -> Network:
                 f"unknown network type {kind!r}; use complete, ring, grid, random, "
                 f"random-symmetric, inline, or file"
             )
-    except (ValueError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"network: {exc}") from None
@@ -164,11 +174,11 @@ def _build_schedule(section, n: int, seed_override: int | None) -> RevisionSched
     section = section if section is not None else {}
     if not isinstance(section, dict):
         raise ConfigError("schedule must be an object")
-    kind = section.get("kind", "round-robin")
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"unknown schedule kind {kind!r}; choose one of {SCHEDULE_KINDS}")
-    seed = seed_override if seed_override is not None else int(section.get("seed", 0))
-    return make_schedule(kind, n, seed=seed)
+    seed = _integer(section, "seed", 0, "schedule") if seed_override is None else seed_override
+    try:
+        return make_schedule(section.get("kind", "round-robin"), n, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _build_initial(section, n: int, seed_override: int | None) -> SystemState:
@@ -186,7 +196,7 @@ def _build_initial(section, n: int, seed_override: int | None) -> SystemState:
     if not isinstance(section, dict):
         raise ConfigError("initial_state must be a preset name or an object")
     if section.get("preset") == "random":
-        seed = seed_override if seed_override is not None else int(section.get("seed", 0))
+        seed = _integer(section, "seed", 0, "initial_state") if seed_override is None else seed_override
         rng = np.random.default_rng(seed)
         return SystemState(rng.integers(0, 2, size=n).astype(np.int64), rng.random(n))
     if "x" in section and "y" in section:
@@ -233,7 +243,7 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     try:
         max_steps = int(run_section.get("max_steps", 1_000_000))
         fixed_point_tol = float(run_section.get("fixed_point_tol", 1e-10))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("run.max_steps must be an integer, run.fixed_point_tol a number") from None
     if max_steps < 1:
         raise ConfigError(f"run.max_steps must be >= 1, got {max_steps}")
@@ -246,12 +256,13 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         sweep_section = raw["sweep"]
         if not isinstance(sweep_section, dict):
             raise ConfigError("sweep must be an object")
+        # every axis but trials goes through, so sweep() rejects unknown ones
         sweep_grid = {
-            axis: list(sweep_section[axis])
-            for axis in ("r", "alpha", "beta")
-            if axis in sweep_section
+            axis: _numbers(values, f"sweep.{axis}")
+            for axis, values in sweep_section.items()
+            if axis != "trials"
         }
-        sweep_trials = int(sweep_section.get("trials", 20))
+        sweep_trials = _integer(sweep_section, "trials", 20, "sweep")
         if sweep_trials < 1:
             raise ConfigError(f"sweep.trials must be >= 1, got {sweep_trials}")
 
@@ -264,5 +275,4 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         fixed_point_tol=fixed_point_tol,
         sweep_grid=sweep_grid,
         sweep_trials=sweep_trials,
-        raw=raw,
     )

@@ -352,10 +352,8 @@ def is_fixed_point(
     and every opinion sits within ``tol`` of its action-conditional optimum.
     """
     _check_compatible(state, params, net)
-    delta, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
-    return bool(
-        np.array_equal(state.x, delta > DISCRIMINANT_TIE_TOL) and np.max(gap) <= tol
-    )
+    stable, _, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
+    return bool(stable.all() and np.max(gap) <= tol)
 
 
 def _require_potential_regime(params: ModelParams) -> None:

@@ -29,7 +29,6 @@ from .dynamics import (
     run,
 )
 from .model import (
-    DISCRIMINANT_TIE_TOL,
     ModelParams,
     Network,
     SystemState,
@@ -75,6 +74,14 @@ def _condition_sides(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
+def _condition_report(condition_id: str, lhs, rhs, holds: np.ndarray) -> ConditionReport:
+    return ConditionReport(
+        condition_id=condition_id,
+        per_player=tuple((float(a), float(b), bool(h)) for a, b, h in zip(lhs, rhs, holds)),
+        all_hold=bool(holds.all()),
+    )
+
+
 def check_all_defection_unique(params: ModelParams) -> ConditionReport:
     """Per-player check of the condition making (0, 0) the unique equilibrium.
 
@@ -82,14 +89,7 @@ def check_all_defection_unique(params: ModelParams) -> ConditionReport:
     """
     _require_strict_interior(params, "the defection-uniqueness condition")
     lhs, rhs = _condition_sides(params)
-    holds = lhs <= rhs
-    return ConditionReport(
-        condition_id=CONDITION_ALL_DEFECTION_UNIQUE,
-        per_player=tuple(
-            (float(a), float(b), bool(h)) for a, b, h in zip(lhs, rhs, holds)
-        ),
-        all_hold=bool(holds.all()),
-    )
+    return _condition_report(CONDITION_ALL_DEFECTION_UNIQUE, lhs, rhs, lhs <= rhs)
 
 
 def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
@@ -100,14 +100,7 @@ def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
     """
     _require_strict_interior(params, "the cooperation-existence condition")
     lhs, rhs = _condition_sides(params)
-    holds = lhs > rhs
-    return ConditionReport(
-        condition_id=CONDITION_ALL_COOPERATION_EXISTS,
-        per_player=tuple(
-            (float(a), float(b), bool(h)) for a, b, h in zip(lhs, rhs, holds)
-        ),
-        all_hold=bool(holds.all()),
-    )
+    return _condition_report(CONDITION_ALL_COOPERATION_EXISTS, lhs, rhs, lhs > rhs)
 
 
 def _require_solvable(params: ModelParams) -> None:
@@ -214,10 +207,8 @@ def verify_nash(
     ``tol``.
     """
     _check_compatible(state, params, net)
-    delta, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
-    eps = DISCRIMINANT_TIE_TOL
-    action_ok = np.where(state.x == 1, delta >= -eps, delta <= eps)
-    deviating = np.flatnonzero(~(action_ok & (gap <= tol)))
+    _, nash, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
+    deviating = np.flatnonzero(~(nash & (gap <= tol)))
     if deviating.size == 0:
         return NashCheck(True)
     i = int(deviating[0])
@@ -285,11 +276,9 @@ def enumerate_equilibria(
     M, psi = _opinion_system(params, net)
     Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
 
-    delta, gap = _stationarity(X, Y, Y @ net.W.T, params)
-    eps = DISCRIMINANT_TIE_TOL
-    coop = X == 1.0
-    dyn_ok = np.where(coop, delta > eps, delta <= eps).all(axis=1)
-    nash_ok = np.where(coop, delta >= -eps, delta <= eps).all(axis=1)
+    stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
+    dyn_ok = stable.all(axis=1)
+    nash_ok = nash.all(axis=1)
     residual = gap.max(axis=1)
 
     def build(mask: np.ndarray) -> tuple[Equilibrium, ...]:

@@ -96,14 +96,16 @@ def render_trajectory_jsonl(traj: Trajectory) -> str:
     return "\n".join(out) + "\n"
 
 
+def _trajectory_format(format: str):
+    if format not in TRAJECTORY_FORMATS:
+        raise ValueError(f"unknown trajectory format {format!r}; use one of {list(TRAJECTORY_FORMATS)}")
+    return TRAJECTORY_FORMATS[format]
+
+
 def emit_trajectory(traj: Trajectory, path: str, format: str = "csv") -> None:
-    """Write a trajectory to ``path`` in ``csv`` or ``json-lines`` form."""
-    if format == "csv":
-        atomic_write(path, render_trajectory_csv(traj))
-    elif format == "json-lines":
-        atomic_write(path, render_trajectory_jsonl(traj))
-    else:
-        raise ValueError(f"unknown trajectory format {format!r}; use 'csv' or 'json-lines'")
+    """Write a trajectory to ``path`` in one of the ``TRAJECTORY_FORMATS``."""
+    render, _ = _trajectory_format(format)
+    atomic_write(path, render(traj))
 
 
 def load_trajectory(path: str, format: str = "csv") -> Trajectory:
@@ -113,12 +115,7 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     Files do not carry the in-memory stop reason, so the result's stop_reason
     is "unknown".
     """
-    if format == "csv":
-        parse = _parse_trajectory_csv
-    elif format == "json-lines":
-        parse = _parse_trajectory_jsonl
-    else:
-        raise ValueError(f"unknown trajectory format {format!r}; use 'csv' or 'json-lines'")
+    _, parse = _trajectory_format(format)
     X, Y, linenos, actives, pots = parse(path)
     _check_rows(path, X, Y, linenos)
     return Trajectory(
@@ -235,6 +232,13 @@ def _parse_trajectory_jsonl(path: str):
     X = np.array(xs, dtype=np.int64).reshape(len(xs), n)
     Y = np.array(ys, dtype=float).reshape(len(ys), n)
     return X, Y, linenos, actives, pots
+
+
+#: Trajectory file format name -> (render to text, parse a file).
+TRAJECTORY_FORMATS = {
+    "csv": (render_trajectory_csv, _parse_trajectory_csv),
+    "json-lines": (render_trajectory_jsonl, _parse_trajectory_jsonl),
+}
 
 
 def write_json(obj, path: str) -> None:

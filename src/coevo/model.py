@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 #: |discriminant| at or below this tolerance is treated as an exact tie
 #: between the two actions, in which case both are best responses.
@@ -140,13 +138,26 @@ class ModelParams:
         return bool((self.gamma == 0.0).all())
 
 
+def _reaches_all(A: np.ndarray) -> bool:
+    """True when node 0 reaches every node along the arcs ``i -> j`` where ``A[i, j]``."""
+    # frontier search: each node enters the frontier once, so the work is O(n^2)
+    seen = np.zeros(A.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = A[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """A weighted influence network with a row-stochastic weight matrix.
 
     ``W[i, j]`` is the influence of player j on player i. Rows must be
     nonnegative and sum to 1 within ``ROW_SUM_TOL``. Self-loops
-    (``W[i, i] > 0``) are permitted.
+    (``W[i, i] > 0``) are permitted. ``is_irreducible``: every node reaches
+    every other along the arcs ``W[i, j] > 0`` (a single node counts).
     """
 
     W: np.ndarray
@@ -176,10 +187,8 @@ class Network:
         object.__setattr__(self, "W", _frozen_array(W))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "is_symmetric", bool(np.array_equal(W, W.T)))
-        n_comp, _ = connected_components(
-            csr_matrix(W > 0.0), directed=True, connection="strong"
-        )
-        object.__setattr__(self, "is_irreducible", bool(n_comp == 1))
+        A = W > 0.0
+        object.__setattr__(self, "is_irreducible", _reaches_all(A) and _reaches_all(A.T))
 
     @classmethod
     def from_matrix(cls, W, normalise: bool = False) -> "Network":
@@ -376,13 +385,17 @@ def _opinion(actions, pulled, params: ModelParams, players=slice(None)):
 
 
 def _stationarity(x, y, social, params: ModelParams):
-    """Discriminants and opinion gaps of every player over ``(..., n)`` profiles.
+    """Per-player ``(stable, nash, gap)`` over ``(..., n)`` profiles; ``social`` is ``W @ y``.
 
-    ``social`` is ``W @ y`` per profile. The gap is each player's distance
-    from the optimal opinion for the action they hold.
+    ``stable``: the dynamics keep the action (ties defect); ``nash``: it is a best
+    response (a tie admits either); ``gap``: distance from its optimal opinion.
     """
     delta, pulled = _revision(social, params)
-    return delta, np.abs(y - _opinion(x, pulled, params))
+    gap = np.abs(y - _opinion(x, pulled, params))
+    eps = DISCRIMINANT_TIE_TOL
+    stable = x == (delta > eps)
+    nash = np.where(x == 1, delta >= -eps, delta <= eps)
+    return stable, nash, gap
 
 
 def discriminant(i: int, y, params: ModelParams, net: Network) -> float:

@@ -61,6 +61,24 @@ class TestExitCodes:
         assert cli_main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("coevo ")
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("sweep", {"r": 2.0, "alpha": [1 / 3], "beta": [1 / 3]}),
+            ("sweep", {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "trials": [2]}),
+            ("schedule", {"seed": [1]}),
+            ("initial_state", {"preset": "random", "seed": {}}),
+        ],
+    )
+    def test_malformed_config_value_is_exit_1(self, tmp_path, capsys, section, value):
+        doc = {"params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}, section: value}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{section}." in err
+
     def test_sweepless_config_refused_for_sweep(self, tmp_path):
         doc = {"params": {"n": 2, "r": 1.5, "alpha": 1 / 3, "beta": 1 / 3}}
         path = tmp_path / "nosweep.json"
@@ -267,6 +285,19 @@ class TestSweep:
         assert cli_main(["sweep", config_path, "--quiet"]) == 0
         assert out.read_text() == capsys.readouterr().out
 
+
+    def test_unknown_axis_is_exit_1(self, tmp_path, capsys):
+        doc = {
+            "params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3},
+            "sweep": {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "gamma": [0.2]},
+        }
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "gamma" in captured.err
 
     def test_config_seed_drives_synchronous_trials(self, tmp_path, capsys):
         def sweep_output(config_seed, *flags):

@@ -235,5 +235,23 @@ class TestRejections:
         with pytest.raises(ConfigError, match="fixed_point_tol"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("sweep", {"r": 2.0, "alpha": [1 / 3], "beta": [1 / 3]}, "sweep.r must be a list of numbers"),
+            ("sweep", {"r": [2.0], "alpha": [1 / 3], "beta": ["x"]}, "sweep.beta must be a list of numbers"),
+            ("sweep", {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "trials": [2]}, "sweep.trials"),
+            ("schedule", {"seed": [1]}, "schedule.seed"),
+            ("schedule", {"seed": float("inf")}, "schedule.seed"),
+            ("run", {"max_steps": float("inf")}, "run.max_steps"),
+            ("initial_state", {"preset": "random", "seed": {}}, "initial_state.seed"),
+            ("network", {"type": "random", "seed": [3]}, "network:"),
+        ],
+    )
+    def test_malformed_value_names_field(self, tmp_path, section, value, field):
+        doc = dict(MINIMAL, **{section: value})
+        with pytest.raises(ConfigError, match=field):
+            load_config(write_config(tmp_path, doc))
+
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)

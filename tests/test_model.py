@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +119,23 @@ class TestNetwork:
         # node 2 never influences node 1
         dag = Network(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert not dag.is_irreducible
+
+    @pytest.mark.parametrize(
+        "W, irreducible",
+        [
+            ([[1.0]], True),
+            (np.eye(3), False),
+            # a chain: node 1 influences node 2, node 2 influences node 3
+            ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], False),
+            # two 2-cycles joined one way, once in each orientation from node 1
+            ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0.5, 0, 0.5], [0, 0, 1, 0]], False),
+            ([[0, 0.5, 0.5, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], False),
+            ([[0, 0.5, 0, 0.5], [1, 0, 0, 0], [0, 0.5, 0, 0.5], [0, 0, 1, 0]], True),
+        ],
+        ids=["single-node", "self-loops-only", "chain", "blocks-in", "blocks-out", "blocks-both"],
+    )
+    def test_irreducibility_fixed_cases(self, W, irreducible):
+        assert Network(np.array(W, dtype=float)).is_irreducible is irreducible
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -311,6 +333,41 @@ class TestBestResponse:
     def test_best_response_set_arity_validated(self):
         with pytest.raises(ValueError, match="one or two"):
             BestResponseSet(entries=(), discriminant_value=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    density=st.floats(0.0, 1.0),
+    self_loops=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_irreducibility_matches_closure(n, density, self_loops, seed):
+    # strongly connected iff every entry of (I + A)^n is positive
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) < density
+    if not self_loops:
+        np.fill_diagonal(A, False)
+    W = A * rng.uniform(0.1, 1.0, (n, n))
+    empty = np.flatnonzero(~A.any(axis=1))
+    W[empty, empty] = 1.0
+    support = (W > 0.0).astype(np.int64)
+    closure = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + support, n)
+    net = Network.from_matrix(W, normalise=True)
+    assert net.is_irreducible is bool((closure > 0).all())
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, coevo, coevo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @settings(max_examples=60, deadline=None)
