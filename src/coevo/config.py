@@ -35,6 +35,15 @@ class ConfigError(ValueError):
     """A configuration file failed to parse or violated a model invariant."""
 
 
+#: Network type -> the keys besides "type" that it reads.
+_NETWORK_KEYS = {
+    "complete": (), "ring": (), "grid": ("rows", "cols"),
+    "random": ("edge_probability", "seed", "require_irreducible"),
+    "random-symmetric": ("edge_probability", "seed"),
+    "inline": ("matrix", "normalise"), "file": ("path", "format", "normalise"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully validated experiment: every invariant already checked at load."""
@@ -56,11 +65,25 @@ def _numbers(values, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a list of numbers") from None
 
 
-def _integer(section: dict, key: str, default: int, where: str) -> int:
+def _at_least(value: int, minimum: int, field: str) -> int:
+    if value < minimum:
+        raise ConfigError(f"{field} must be >= {minimum}, got {value}")
+    return value
+
+
+def _integer(section: dict, key: str, default: int, where: str, minimum: int) -> int:
     try:
-        return int(section.get(key, default))
+        value = int(section.get(key, default))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key} must be an integer") from None
+    return _at_least(value, minimum, f"{where}.{key}")
+
+
+def _known_keys(section: dict, keys, prefix: str) -> None:
+    """Reject a key that nothing reads, which would otherwise fall back silently."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}; use {', '.join(sorted(keys))}")
 
 
 def _vector(section: dict, key: str, n: int, default=None, alias: str | None = None):
@@ -83,6 +106,8 @@ def _vector(section: dict, key: str, n: int, default=None, alias: str | None = N
 def _build_params(section) -> ModelParams:
     if not isinstance(section, dict):
         raise ConfigError("params must be an object")
+    keys = ("n", "r", "alpha", "beta", "lambda", "lam", "gamma", "prejudice", "u")
+    _known_keys(section, keys, "params.")
     for key in ("n", "r"):
         if key not in section:
             raise ConfigError(f"params.{key} is required")
@@ -111,6 +136,10 @@ def _build_network(section, n: int, base_dir: str) -> Network:
     if not isinstance(section, dict) or "type" not in section:
         raise ConfigError('network must be an object with a "type" field')
     kind = section["type"]
+    if not isinstance(kind, str) or kind not in _NETWORK_KEYS:
+        *kinds, last = _NETWORK_KEYS
+        raise ConfigError(f"unknown network type {kind!r}; use {', '.join(kinds)}, or {last}")
+    _known_keys(section, ("type", *_NETWORK_KEYS[kind]), "network.")
     try:
         if kind == "complete":
             return networks.complete_network(n)
@@ -129,14 +158,14 @@ def _build_network(section, n: int, base_dir: str) -> Network:
             return networks.random_network(
                 n,
                 float(section.get("edge_probability", 0.5)),
-                int(section.get("seed", 0)),
+                _at_least(int(section.get("seed", 0)), 0, "network.seed"),
                 require_irreducible=bool(section.get("require_irreducible", True)),
             )
         if kind == "random-symmetric":
             return networks.random_symmetric_network(
                 n,
                 float(section.get("edge_probability", 0.5)),
-                int(section.get("seed", 0)),
+                _at_least(int(section.get("seed", 0)), 0, "network.seed"),
             )
         if kind == "inline":
             if "matrix" not in section:
@@ -145,7 +174,7 @@ def _build_network(section, n: int, base_dir: str) -> Network:
                 np.array(section["matrix"], dtype=float),
                 normalise=bool(section.get("normalise", False)),
             )
-        elif kind == "file":
+        else:
             if "path" not in section:
                 raise ConfigError("file network needs a path field")
             path = section["path"]
@@ -155,11 +184,6 @@ def _build_network(section, n: int, base_dir: str) -> Network:
                 path,
                 format=section.get("format", "edge-list"),
                 normalise=bool(section.get("normalise", False)),
-            )
-        else:
-            raise ConfigError(
-                f"unknown network type {kind!r}; use complete, ring, grid, random, "
-                f"random-symmetric, inline, or file"
             )
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         if isinstance(exc, ConfigError):
@@ -174,7 +198,8 @@ def _build_schedule(section, n: int, seed_override: int | None) -> RevisionSched
     section = section if section is not None else {}
     if not isinstance(section, dict):
         raise ConfigError("schedule must be an object")
-    seed = _integer(section, "seed", 0, "schedule") if seed_override is None else seed_override
+    _known_keys(section, ("kind", "seed"), "schedule.")
+    seed = _integer(section, "seed", 0, "schedule", 0) if seed_override is None else seed_override
     try:
         return make_schedule(section.get("kind", "round-robin"), n, seed=seed)
     except ValueError as exc:
@@ -195,8 +220,9 @@ def _build_initial(section, n: int, seed_override: int | None) -> SystemState:
         )
     if not isinstance(section, dict):
         raise ConfigError("initial_state must be a preset name or an object")
+    _known_keys(section, ("preset", "seed", "x", "y"), "initial_state.")
     if section.get("preset") == "random":
-        seed = _integer(section, "seed", 0, "initial_state") if seed_override is None else seed_override
+        seed = _integer(section, "seed", 0, "initial_state", 0) if seed_override is None else seed_override
         rng = np.random.default_rng(seed)
         return SystemState(rng.integers(0, 2, size=n).astype(np.int64), rng.random(n))
     if "x" in section and "y" in section:
@@ -230,6 +256,9 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         raise ConfigError(f"{path}: top level must be a JSON object")
     if "params" not in raw:
         raise ConfigError(f"{path}: missing params section")
+    _known_keys(raw, ("params", "network", "schedule", "initial_state", "run", "sweep"), "")
+    if seed_override is not None:
+        _at_least(seed_override, 0, "--seed")
 
     params = _build_params(raw["params"])
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -240,13 +269,13 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     run_section = raw.get("run", {})
     if not isinstance(run_section, dict):
         raise ConfigError("run must be an object")
+    _known_keys(run_section, ("max_steps", "fixed_point_tol"), "run.")
     try:
         max_steps = int(run_section.get("max_steps", 1_000_000))
         fixed_point_tol = float(run_section.get("fixed_point_tol", 1e-10))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("run.max_steps must be an integer, run.fixed_point_tol a number") from None
-    if max_steps < 1:
-        raise ConfigError(f"run.max_steps must be >= 1, got {max_steps}")
+    _at_least(max_steps, 1, "run.max_steps")
     if fixed_point_tol <= 0.0:
         raise ConfigError(f"run.fixed_point_tol must be positive, got {fixed_point_tol}")
 
@@ -262,9 +291,7 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
             for axis, values in sweep_section.items()
             if axis != "trials"
         }
-        sweep_trials = _integer(sweep_section, "trials", 20, "sweep")
-        if sweep_trials < 1:
-            raise ConfigError(f"sweep.trials must be >= 1, got {sweep_trials}")
+        sweep_trials = _integer(sweep_section, "trials", 20, "sweep", 1)
 
     return ExperimentConfig(
         params=params,

@@ -118,13 +118,13 @@ def _require_solvable(params: ModelParams) -> None:
         )
 
 
-def _opinion_system(params: ModelParams, net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """(M, psi) with M y = psi * x characterising stationary opinions."""
+def _opinion_system(params: ModelParams, net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, psi, phi): stationary opinions solve M y = psi * x, M = I - diag(phi) W."""
     denom = params.beta + params.lam
     phi = params.beta / denom
     psi = params.lam / denom
     M = np.eye(params.n) - phi[:, None] * net.W
-    return M, psi
+    return M, psi, phi
 
 
 def solve_opinion_equilibrium(
@@ -149,7 +149,7 @@ def solve_opinion_equilibrium(
         raise ValueError("action vector entries must be 0 or 1")
     if net.n != params.n:
         raise ValueError(f"network has {net.n} nodes but params describe {params.n} players")
-    M, psi = _opinion_system(params, net)
+    M, psi, phi = _opinion_system(params, net)
     rhs = psi * x
     if method == "direct":
         try:
@@ -160,7 +160,6 @@ def solve_opinion_equilibrium(
                 "contraction preconditions"
             ) from exc
     elif method == "fixed-point-iteration":
-        phi = params.beta / (params.beta + params.lam)
         y = np.full(params.n, 0.5)
         for _ in range(100_000):
             y_next = phi * (net.W @ y) + rhs
@@ -273,7 +272,7 @@ def enumerate_equilibria(
     # bit k of the code is player k's action
     X = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
 
-    M, psi = _opinion_system(params, net)
+    M, psi, _ = _opinion_system(params, net)
     Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
 
     stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
@@ -368,14 +367,14 @@ def sweep(
             "within a fixed window; convergence conclusions do not apply to it",
             stacklevel=2,
         )
-    rs = [float(v) for v in grid.get("r", [])]
-    alphas = [float(v) for v in grid.get("alpha", [])]
-    betas = [float(v) for v in grid.get("beta", [])]
+    rs = [float(v) for v in grid["r"]]
+    alphas = [float(v) for v in grid["alpha"]]
+    betas = [float(v) for v in grid["beta"]]
     n = net.n
 
     cell_specs = list(itertools.product(rs, alphas, betas))
     master = np.random.SeedSequence(seed)
-    cell_seqs = master.spawn(len(cell_specs)) if cell_specs else []
+    cell_seqs = master.spawn(len(cell_specs))
 
     cells: list[SweepCell] = []
     invalid: list[tuple[dict, str]] = []

@@ -7,9 +7,12 @@ leaves a partial file. Player indices are 1-based in every external format.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
@@ -37,15 +40,6 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _trajectory_header(n: int) -> list[str]:
-    return (
-        ["t", "active"]
-        + [f"x_{i}" for i in range(1, n + 1)]
-        + [f"y_{i}" for i in range(1, n + 1)]
-        + ["potential"]
-    )
-
-
 def render_trajectory_csv(traj: Trajectory) -> str:
     """CSV rows: t, active (semicolon-joined 1-based ids of the revision that
     produced this row's state; empty at t=0), x_1..x_n, y_1..y_n, potential.
@@ -57,7 +51,9 @@ def render_trajectory_csv(traj: Trajectory) -> str:
     """
     X, Y, pots = traj.x, traj.y, traj.potentials
     rows, n = X.shape
-    lines = [",".join(_trajectory_header(n))]
+    ids = range(1, n + 1)
+    header = ["t", "active", *(f"x_{i}" for i in ids), *(f"y_{i}" for i in ids), "potential"]
+    lines = [",".join(header)]
     if rows:
         y_bits = np.ascontiguousarray(Y).view(np.int64)
         cells = (
@@ -96,35 +92,58 @@ def render_trajectory_jsonl(traj: Trajectory) -> str:
     return "\n".join(out) + "\n"
 
 
-def _trajectory_format(format: str):
-    if format not in TRAJECTORY_FORMATS:
-        raise ValueError(f"unknown trajectory format {format!r}; use one of {list(TRAJECTORY_FORMATS)}")
-    return TRAJECTORY_FORMATS[format]
+def format_entry(table: dict, kind: str, format: str):
+    """The entry for ``format`` in a format table such as ``TRAJECTORY_FORMATS``."""
+    if format not in table:
+        raise ValueError(f"unknown {kind} format {format!r}; use {' or '.join(map(repr, table))}")
+    return table[format]
 
 
 def emit_trajectory(traj: Trajectory, path: str, format: str = "csv") -> None:
     """Write a trajectory to ``path`` in one of the ``TRAJECTORY_FORMATS``."""
-    render, _ = _trajectory_format(format)
+    render, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
     atomic_write(path, render(traj))
 
 
 def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     """Parse a trajectory file back into states, active sets, and potentials.
 
-    Every row must hold a valid state: actions 0 or 1, opinions in [0, 1].
-    Files do not carry the in-memory stop reason, so the result's stop_reason
-    is "unknown".
+    The file is read one line at a time. Every row must hold a valid state:
+    actions 0 or 1, opinions in [0, 1]. A malformed cell or row raises a
+    ValueError that starts with ``path:line`` and, for an action or opinion,
+    names the player. Files do not carry the in-memory stop reason, so the
+    result's stop_reason is "unknown".
     """
-    _, parse = _trajectory_format(format)
-    X, Y, linenos, actives, pots = parse(path)
+    _, decode = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
+    xs, ys, linenos, actives, pots = [], [], [], [], None
+    with open(path, encoding="utf-8") as f:
+        rows = decode(path, ((k, line) for k, line in enumerate(f, start=1) if line.strip()))
+        n = next(rows)
+        for lineno, t, active, x, y, pot in rows:
+            where = f"{path}:{lineno}"
+            n = len(x) if n is None else n
+            if len(x) != n or len(y) != n:
+                raise ValueError(
+                    f"{where}: expected {n} actions and {n} opinions, got {len(x)} and {len(y)}"
+                )
+            if _read(int, t, where, "time index") != len(xs):
+                raise ValueError(f"{where}: time index {t} out of order")
+            if xs:
+                actives.append(_read(lambda a: tuple(int(i) - 1 for i in a), active, where, "active ids"))
+            else:
+                pots = None if pot is None else []
+            if pots is not None:
+                if pot is None:
+                    raise ValueError(f"{where}: missing potential value")
+                pots.append(_read(float, pot, where, "potential"))
+            xs.append(x)
+            ys.append(y)
+            linenos.append(lineno)
+    # no dtype: an action too large for int64 stays an object for _check_rows
+    X = np.array(xs).reshape(len(xs), n or 0)
+    Y = np.array(ys, dtype=float).reshape(len(ys), n or 0)
     _check_rows(path, X, Y, linenos)
-    return Trajectory(
-        x=X,
-        y=Y,
-        active_sets=tuple(actives),
-        potentials=pots,
-        stop_reason="unknown",
-    )
+    return Trajectory(x=X, y=Y, active_sets=tuple(actives), potentials=pots, stop_reason="unknown")
 
 
 def _check_rows(path: str, X: np.ndarray, Y: np.ndarray, linenos: list[int]) -> None:
@@ -138,106 +157,76 @@ def _check_rows(path: str, X: np.ndarray, Y: np.ndarray, linenos: list[int]) -> 
             row, player = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise ValueError(
                 f"{path}:{linenos[row]}: player {player + 1}: {rule}, "
-                f"got {values[row, player].item()!r}"
+                f"got {values[row].tolist()[player]!r}"
             )
 
 
-def _parse_active(cell: str) -> tuple[int, ...]:
-    if not cell:
-        return ()
-    return tuple(int(part) - 1 for part in cell.split(";"))
+def _read(convert, value, where: str, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: cannot read {what} {value!r}") from None
 
 
-def _parse_trajectory_csv(path: str):
-    with open(path, encoding="utf-8") as f:
-        numbered = [
-            (lineno, line.rstrip("\n")) for lineno, line in enumerate(f, start=1) if line.strip()
-        ]
-    if not numbered:
+def _read_players(values: list, cells, players, convert, where: str, what: str) -> None:
+    """Set ``values[i] = convert(cells[i])`` for each player index ``i``."""
+    for i in players:
+        try:
+            values[i] = convert(cells[i])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{where}: player {i + 1}: cannot read {what} {cells[i]!r}") from None
+
+
+def _csv_rows(path: str, lines):
+    """The header's player count, then the rows, decoded the way the renderer
+    writes them: a cell whose text equals the same cell of the row before keeps
+    that row's value, and only changed cells are converted. Equal text parses
+    to equal bits, so this is exact whoever wrote the file."""
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: empty trajectory file")
-    header = numbered[0][1].split(",")
-    if (
-        len(header) < 3
-        or header[:2] != ["t", "active"]
-        or header[-1] != "potential"
-        or (len(header) - 3) % 2 != 0
-    ):
+    header = first[1].rstrip("\n").split(",")
+    if header[:2] != ["t", "active"] or header[-1] != "potential" or len(header) % 2 == 0:
         raise ValueError(f"{path}: unrecognised trajectory header")
     n = (len(header) - 3) // 2
-    rows = len(numbered) - 1
-    X = np.empty((rows, n), dtype=np.int64)
-    Y = np.empty((rows, n))
-    linenos: list[int] = []
-    actives: list[tuple[int, ...]] = []
-    pots: list[float] | None = None
-    for t, (lineno, line) in enumerate(numbered[1:]):
-        cells = line.split(",")
+    yield n
+    x, y = [0] * n, [0.0] * n
+    x_before = y_before = [None] * n
+    for lineno, line in lines:
+        where = f"{path}:{lineno}"
+        cells = line.rstrip("\n").split(",")
         if len(cells) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-        if int(cells[0]) != t:
-            raise ValueError(f"{path}:{lineno}: time index {cells[0]} out of order")
-        if t > 0:
-            actives.append(_parse_active(cells[1]))
-        X[t] = [int(c) for c in cells[2 : 2 + n]]
-        Y[t] = [float(c) for c in cells[2 + n : 2 + 2 * n]]
-        linenos.append(lineno)
-        pot_cell = cells[-1]
-        if t == 0:
-            pots = [] if pot_cell != "" else None
-        if pots is not None:
-            if pot_cell == "":
-                raise ValueError(f"{path}:{lineno}: missing potential value")
-            pots.append(float(pot_cell))
-    return X, Y, linenos, actives, pots
+            raise ValueError(f"{where}: expected {len(header)} columns, got {len(cells)}")
+        x_text, y_text = cells[2 : 2 + n], cells[2 + n : -1]
+        _read_players(x, x_text, compress(range(n), map(ne, x_text, x_before)), int, where, "action")
+        _read_players(y, y_text, compress(range(n), map(ne, y_text, y_before)), float, where, "opinion")
+        x_before, y_before = x_text, y_text
+        active = cells[1].split(";") if cells[1] else ()
+        yield lineno, cells[0], active, list(x), list(y), cells[-1] or None
 
 
-def _parse_trajectory_jsonl(path: str):
-    xs: list[list] = []
-    ys: list[list] = []
-    linenos: list[int] = []
-    actives: list[tuple[int, ...]] = []
-    pots: list[float] | None = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            t = int(obj["t"])
-            if t != len(xs):
-                raise ValueError(f"{path}:{lineno}: time index {t} out of order")
-            if t > 0:
-                actives.append(tuple(int(i) - 1 for i in obj["active"]))
-            n = len(xs[0]) if xs else len(obj["x"])
-            if len(obj["x"]) != n or len(obj["y"]) != n:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {n} actions and {n} opinions, "
-                    f"got {len(obj['x'])} and {len(obj['y'])}"
-                )
-            xs.append(obj["x"])
-            ys.append(obj["y"])
-            linenos.append(lineno)
-            if t == 0:
-                pots = [] if obj.get("potential") is not None else None
-            if pots is not None:
-                if obj.get("potential") is None:
-                    raise ValueError(f"{path}:{lineno}: missing potential value")
-                pots.append(float(obj["potential"]))
-    n = len(xs[0]) if xs else 0
-    X = np.array(xs, dtype=np.int64).reshape(len(xs), n)
-    Y = np.array(ys, dtype=float).reshape(len(ys), n)
-    return X, Y, linenos, actives, pots
+def _jsonl_rows(path: str, lines):
+    yield None
+    for lineno, line in lines:
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+            t, x, y = obj["t"], obj["x"], obj["y"]
+            if not (isinstance(x, list) and isinstance(y, list)):
+                raise TypeError("x and y must be lists")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{where}: not a trajectory row ({type(exc).__name__}: {exc})") from None
+        _read_players(x, x, range(len(x)), int, where, "action")
+        _read_players(y, y, range(len(y)), float, where, "opinion")
+        yield lineno, t, obj.get("active"), x, y, obj.get("potential")
 
 
-#: Trajectory file format name -> (render to text, parse a file).
+#: Trajectory file format name -> (render to text, rows). ``rows(path, lines)``
+#: reads numbered non-blank lines and yields the header's player count (None
+#: without a header), then ``(lineno, t, active, x, y, potential or None)``.
 TRAJECTORY_FORMATS = {
-    "csv": (render_trajectory_csv, _parse_trajectory_csv),
-    "json-lines": (render_trajectory_jsonl, _parse_trajectory_jsonl),
+    "csv": (render_trajectory_csv, _csv_rows),
+    "json-lines": (render_trajectory_jsonl, _jsonl_rows),
 }
 
 
@@ -308,21 +297,7 @@ def sweep_table_to_jsonable(table: SweepTable) -> dict:
         "schedule_kind": table.schedule_kind,
         "seed": table.seed,
         "trials_per_cell": table.trials_per_cell,
-        "cells": [
-            {
-                "r": c.r,
-                "alpha": c.alpha,
-                "beta": c.beta,
-                "lam": c.lam,
-                "all_defection_unique": c.all_defection_unique,
-                "all_cooperation_exists": c.all_cooperation_exists,
-                "equilibrium_count": c.equilibrium_count,
-                "boundary_count": c.boundary_count,
-                "outcome_frequencies": c.outcome_frequencies,
-                "trials": c.trials,
-            }
-            for c in table.cells
-        ],
+        "cells": [dataclasses.asdict(c) for c in table.cells],
         "invalid_cells": [
             {"cell": spec, "reason": reason} for spec, reason in table.invalid_cells
         ],

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .io import atomic_write, format_entry, format_real
 from .model import Network
+
+#: Draws a random generator makes before it gives up on an irreducible one.
+MAX_RETRIES = 200
 
 
 def complete_network(n: int) -> Network:
@@ -62,14 +66,13 @@ def random_network(
     edge_probability: float,
     seed: int,
     require_irreducible: bool = True,
-    max_retries: int = 200,
 ) -> Network:
     """Random directed influence network with row-normalised positive weights.
 
     Each off-diagonal arc appears independently with ``edge_probability`` and
     gets a uniform weight; rows are normalised. Rows that come up empty get a
     self-loop. When ``require_irreducible`` is set, draws whose support is not
-    strongly connected are discarded and re-sampled up to ``max_retries``
+    strongly connected are discarded and re-sampled up to ``MAX_RETRIES``
     times.
     """
     if n < 2:
@@ -77,7 +80,7 @@ def random_network(
     if not 0.0 < edge_probability <= 1.0:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_probability}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         mask = rng.random((n, n)) < edge_probability
         np.fill_diagonal(mask, False)
         W = np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0)
@@ -87,17 +90,12 @@ def random_network(
         if not require_irreducible or net.is_irreducible:
             return net
     raise RuntimeError(
-        f"no irreducible draw in {max_retries} tries "
+        f"no irreducible draw in {MAX_RETRIES} tries "
         f"(n={n}, edge_probability={edge_probability}); raise the probability"
     )
 
 
-def random_symmetric_network(
-    n: int,
-    edge_probability: float,
-    seed: int,
-    max_retries: int = 200,
-) -> Network:
+def random_symmetric_network(n: int, edge_probability: float, seed: int) -> Network:
     """Random symmetric irreducible row-stochastic network.
 
     Row-normalising a symmetric adjacency matrix is not symmetric in general,
@@ -110,7 +108,7 @@ def random_symmetric_network(
     if not 0.0 < edge_probability <= 1.0:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_probability}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         upper = np.triu(rng.random((n, n)) < edge_probability, k=1)
         A = (upper | upper.T).astype(float)
         deg = A.sum(axis=1)
@@ -122,18 +120,19 @@ def random_symmetric_network(
         if net.is_irreducible:
             return net
     raise RuntimeError(
-        f"no connected draw in {max_retries} tries "
+        f"no connected draw in {MAX_RETRIES} tries "
         f"(n={n}, edge_probability={edge_probability}); raise the probability"
     )
 
 
 def load_network(path: str, format: str = "edge-list", normalise: bool = False) -> Network:
-    """Read a network file in ``edge-list`` or ``dense-csv`` format."""
-    if format == "edge-list":
-        return _load_edge_list(path, normalise)
-    if format == "dense-csv":
-        return _load_dense_csv(path, normalise)
-    raise ValueError(f"unknown network format {format!r}; use 'edge-list' or 'dense-csv'")
+    """Read a network file in one of the ``NETWORK_FORMATS``."""
+    return format_entry(NETWORK_FORMATS, "network", format)[0](path, normalise)
+
+
+def save_network(net: Network, path: str, format: str = "dense-csv") -> None:
+    """Write a network to disk in a form :func:`load_network` reads back exactly."""
+    atomic_write(path, format_entry(NETWORK_FORMATS, "network", format)[1](net))
 
 
 def _load_edge_list(path: str, normalise: bool) -> Network:
@@ -190,19 +189,17 @@ def _load_dense_csv(path: str, normalise: bool) -> Network:
     return Network.from_matrix(np.array(rows), normalise=normalise)
 
 
-def save_network(net: Network, path: str, format: str = "dense-csv") -> None:
-    """Write a network to disk in a form :func:`load_network` reads back exactly."""
-    from .io import atomic_write, format_real
+def _render_edge_list(net: Network) -> str:
+    rows, cols = np.nonzero(net.W)
+    return "".join(f"{i + 1} {j + 1} {format_real(net.W[i, j])}\n" for i, j in zip(rows, cols))
 
-    if format == "dense-csv":
-        lines = [",".join(format_real(v) for v in row) for row in net.W]
-        atomic_write(path, "\n".join(lines) + "\n")
-    elif format == "edge-list":
-        lines = []
-        for i in range(net.n):
-            for j in range(net.n):
-                if net.W[i, j] != 0.0:
-                    lines.append(f"{i + 1} {j + 1} {format_real(net.W[i, j])}")
-        atomic_write(path, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown network format {format!r}; use 'edge-list' or 'dense-csv'")
+
+def _render_dense_csv(net: Network) -> str:
+    return "".join(",".join(format_real(v) for v in row) + "\n" for row in net.W)
+
+
+#: Network file format name -> (load a file, render to text).
+NETWORK_FORMATS = {
+    "edge-list": (_load_edge_list, _render_edge_list),
+    "dense-csv": (_load_dense_csv, _render_dense_csv),
+}

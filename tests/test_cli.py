@@ -79,6 +79,53 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert f"{section}." in err
 
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            (None, {"paramz": {}}, "unknown key paramz"),
+            ("params", {"gama": 0.5}, "params.gama"),
+            ("network", {"type": "random", "edge_prob": 0.9}, "network.edge_prob"),
+            ("network", {"type": "complete", "seed": 1}, "network.seed"),
+            ("schedule", {"sed": 4}, "schedule.sed"),
+            ("initial_state", {"preset": "random", "sed": 4}, "initial_state.sed"),
+            ("run", {"max_step": 10}, "run.max_step"),
+        ],
+    )
+    def test_unknown_config_key_is_exit_1(self, tmp_path, capsys, section, value, field):
+        doc = {"params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}}
+        if section is None:
+            doc.update(value)
+        elif section == "params":
+            doc["params"].update(value)
+        else:
+            doc[section] = value
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "section, value, argv, field",
+        [
+            ("network", {"type": "random", "seed": -3}, [], "network.seed"),
+            ("network", {"type": "random-symmetric", "seed": -3}, [], "network.seed"),
+            ("schedule", {"kind": "shuffled-rounds", "seed": -1}, [], "schedule.seed"),
+            ("schedule", {"kind": "round-robin", "seed": -1}, [], "schedule.seed"),
+            ("initial_state", {"preset": "random", "seed": -1}, [], "initial_state.seed"),
+            ("schedule", {"kind": "shuffled-rounds", "seed": 2}, ["--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_negative_seed_is_exit_1(self, tmp_path, capsys, section, value, argv, field):
+        doc = {"params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}, section: value}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{field} must be >= 0" in err
+
     def test_sweepless_config_refused_for_sweep(self, tmp_path):
         doc = {"params": {"n": 2, "r": 1.5, "alpha": 1 / 3, "beta": 1 / 3}}
         path = tmp_path / "nosweep.json"

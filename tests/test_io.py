@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevo.cli import cli_main
@@ -243,6 +243,53 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=r"bad\.jsonl:2: expected 2 actions and 2 opinions"):
             load_trajectory(str(path), format="json-lines")
 
+    def test_csv_unchanged_value_spelled_differently(self, tmp_path):
+        path = tmp_path / "spelled.csv"
+        path.write_text("t,active,x_1,y_1,potential\n0,,1,0.5,\n1,1,01,0.50,\n2,1,1,0.5,\n")
+        back = load_trajectory(str(path))
+        np.testing.assert_array_equal(back.x, [[1], [1], [1]])
+        np.testing.assert_array_equal(back.y, [[0.5], [0.5], [0.5]])
+
+    def test_header_only_csv_keeps_its_width(self, tmp_path):
+        path = tmp_path / "empty3.csv"
+        path.write_text("t,active,x_1,x_2,x_3,y_1,y_2,y_3,potential\n")
+        back = load_trajectory(str(path))
+        assert back.x.shape == back.y.shape == (0, 3)
+        assert back.potentials is None
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1,x,0,0.5,0.5,-1", r"bad\.csv:3: player 1: cannot read action 'x'"),
+            ("1,1,1,0,0.5,abc,-1", r"bad\.csv:3: player 2: cannot read opinion 'abc'"),
+            ("1,1,1,0,0.5,0.5,zz", r"bad\.csv:3: cannot read potential 'zz'"),
+            ("one,1,1,0,0.5,0.5,-1", r"bad\.csv:3: cannot read time index 'one'"),
+            ("1,x,1,0,0.5,0.5,-1", r"bad\.csv:3: cannot read active ids \['x'\]"),
+            ("1,1,1,99999999999999999999,0.5,0.5,-1", r"bad\.csv:3: player 2: action must be 0 or 1"),
+        ],
+    )
+    def test_malformed_csv_cell_names_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,active,x_1,x_2,y_1,y_2,potential\n0,,1,0,0.5,0.5,-1\n" + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_trajectory(str(path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"t": 1, "active": [1], "y": [0.5]}', r"bad\.jsonl:2: not a trajectory row \(KeyError: 'x'\)"),
+            ('{"t": 1, "active": [1], "x": "1", "y": [0.5]}', r"bad\.jsonl:2: not a trajectory row"),
+            ('{"t": 1, "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read active ids None"),
+            ('{"t": 1, "active": [1], "x": [1], "y": ["u"]}', r"bad\.jsonl:2: player 1: cannot read opinion 'u'"),
+            ('{"t": 1, "active": [1], "x": [Infinity], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action inf"),
+        ],
+    )
+    def test_malformed_jsonl_row_names_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t": 0, "active": [], "x": [0], "y": [0.5]}\n' + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_trajectory(str(path), format="json-lines")
+
     def test_jsonl_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"t": 0, "active": [], "x": [0], "y": [0.5]}\n{nope}\n')
@@ -262,6 +309,54 @@ class TestTrajectoryFiles:
         path = str(tmp_path / "t.csv")
         emit_trajectory(traj, path)
         assert load_trajectory(path).active_sets == ((0, 2),)
+
+
+#: Opinions that repeat, change back, and stress the decimal round trip:
+#: both signed zeros, the smallest subnormal, the largest double below 1.
+AWKWARD_OPINIONS = (0.0, -0.0, 5e-324, float(np.nextafter(1.0, 0.0)), 1 / 3, 0.5, 1.0)
+
+
+@st.composite
+def awkward_trajectories(draw):
+    """Rows that differ from the row before in a few cells, as revisions make
+    them, with values drawn from a small pool so cells repeat and change back."""
+    n = draw(st.integers(1, 6))
+    player = st.integers(0, n - 1)
+    x = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))]
+    y = [draw(st.lists(st.sampled_from(AWKWARD_OPINIONS), min_size=n, max_size=n))]
+    active_sets = []
+    for _ in range(draw(st.integers(0, 29))):
+        changed = draw(st.lists(player, min_size=1, max_size=n, unique=True))
+        x.append(list(x[-1]))
+        y.append(list(y[-1]))
+        for i in changed:
+            x[-1][i] = draw(st.integers(0, 1))
+            y[-1][i] = draw(st.sampled_from(AWKWARD_OPINIONS))
+        active_sets.append(tuple(sorted(changed)))
+    potential = st.sampled_from(AWKWARD_OPINIONS + (-1 / 7,))
+    pots = draw(st.none() | st.lists(potential, min_size=len(x), max_size=len(x)))
+    return Trajectory(
+        x=x, y=y, active_sets=tuple(active_sets), potentials=pots, stop_reason="max_steps"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(traj=awkward_trajectories())
+def test_round_trip_is_bit_exact_in_both_formats(traj, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("round-trip")
+    for fmt in ("csv", "json-lines"):
+        path = str(directory / f"t.{fmt}")
+        emit_trajectory(traj, path, format=fmt)
+        back = load_trajectory(path, format=fmt)
+        np.testing.assert_array_equal(back.x, traj.x)
+        np.testing.assert_array_equal(back.y.view(np.int64), traj.y.view(np.int64))
+        assert back.active_sets == traj.active_sets
+        if traj.potentials is None:
+            assert back.potentials is None
+        else:
+            np.testing.assert_array_equal(
+                back.potentials.view(np.int64), traj.potentials.view(np.int64)
+            )
 
 
 class TestJsonRendering:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coevo import networks
 from coevo.networks import (
     complete_network,
     grid_network,
@@ -53,9 +54,10 @@ class TestGenerators:
         b = random_network(6, 0.5, seed=11)
         np.testing.assert_array_equal(a.W, b.W)
 
-    def test_random_network_retry_exhaustion(self):
+    def test_random_network_retry_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(networks, "MAX_RETRIES", 2)
         with pytest.raises(RuntimeError, match="irreducible"):
-            random_network(12, 0.01, seed=0, max_retries=2)
+            random_network(12, 0.01, seed=0)
 
     def test_random_symmetric_properties(self):
         for seed in range(5):
