@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser(
-        "enumerate", parents=[common], help="enumerate all equilibria exhaustively"
+        "enumerate", parents=[common], help="enumerate all equilibria by branch and bound"
     ).add_argument(
         "--max-n",
         type=int,

@@ -71,11 +71,19 @@ def _at_least(value: int, minimum: int, field: str) -> int:
     return value
 
 
-def _integer(section: dict, key: str, default: int, where: str, minimum: int) -> int:
+def _whole(value, field: str) -> int:
+    """``int(value)``, refusing a fraction such as 2.5 instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer(section: dict, key: str, default, where: str, minimum: int) -> int:
+    raw = section.get(key, default)
     try:
-        value = int(section.get(key, default))
+        value = _whole(raw, f"{where}.{key}")
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key} must be an integer") from None
+        raise ConfigError(f"{where}.{key} must be an integer, got {raw!r}") from None
     return _at_least(value, minimum, f"{where}.{key}")
 
 
@@ -111,11 +119,11 @@ def _build_params(section) -> ModelParams:
     for key in ("n", "r"):
         if key not in section:
             raise ConfigError(f"params.{key} is required")
+    n = _integer(section, "n", None, "params", 2)
     try:
-        n = int(section["n"])
         r = float(section["r"])
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("params.n must be an integer and params.r a number") from None
+        raise ConfigError("params.r must be a number") from None
     alpha = _vector(section, "alpha", n)
     beta = _vector(section, "beta", n)
     if "lambda" in section or "lam" in section:
@@ -146,27 +154,21 @@ def _build_network(section, n: int, base_dir: str) -> Network:
         if kind == "ring":
             return networks.ring_network(n)
         if kind == "grid":
-            rows = int(section.get("rows", 0))
-            cols = int(section.get("cols", 0))
+            rows = _whole(section.get("rows", 0), "network.rows")
+            cols = _whole(section.get("cols", 0), "network.cols")
             if rows * cols != n:
                 raise ConfigError(
                     f"grid network is {rows}x{cols} = {rows * cols} nodes "
                     f"but params.n = {n}"
                 )
             return networks.grid_network(rows, cols)
-        if kind == "random":
-            return networks.random_network(
-                n,
-                float(section.get("edge_probability", 0.5)),
-                _at_least(int(section.get("seed", 0)), 0, "network.seed"),
-                require_irreducible=bool(section.get("require_irreducible", True)),
-            )
-        if kind == "random-symmetric":
-            return networks.random_symmetric_network(
-                n,
-                float(section.get("edge_probability", 0.5)),
-                _at_least(int(section.get("seed", 0)), 0, "network.seed"),
-            )
+        if kind in ("random", "random-symmetric"):
+            p = float(section.get("edge_probability", 0.5))
+            seed = _at_least(_whole(section.get("seed", 0), "network.seed"), 0, "network.seed")
+            if kind == "random-symmetric":
+                return networks.random_symmetric_network(n, p, seed)
+            irreducible = bool(section.get("require_irreducible", True))
+            return networks.random_network(n, p, seed, require_irreducible=irreducible)
         if kind == "inline":
             if "matrix" not in section:
                 raise ConfigError("inline network needs a matrix field")
@@ -227,11 +229,12 @@ def _build_initial(section, n: int, seed_override: int | None) -> SystemState:
         return SystemState(rng.integers(0, 2, size=n).astype(np.int64), rng.random(n))
     if "x" in section and "y" in section:
         try:
+            # read as floats so SystemState refuses a fractional action
             return SystemState(
-                np.array(section["x"], dtype=np.int64),
+                np.array(section["x"], dtype=float),
                 np.array(section["y"], dtype=float),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"initial_state: {exc}") from None
     raise ConfigError(
         'initial_state object needs either {"preset": "random", "seed": k} '
@@ -270,12 +273,11 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     if not isinstance(run_section, dict):
         raise ConfigError("run must be an object")
     _known_keys(run_section, ("max_steps", "fixed_point_tol"), "run.")
+    max_steps = _integer(run_section, "max_steps", 1_000_000, "run", 1)
     try:
-        max_steps = int(run_section.get("max_steps", 1_000_000))
         fixed_point_tol = float(run_section.get("fixed_point_tol", 1e-10))
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("run.max_steps must be an integer, run.fixed_point_tol a number") from None
-    _at_least(max_steps, 1, "run.max_steps")
+        raise ConfigError("run.fixed_point_tol must be a number") from None
     if fixed_point_tol <= 0.0:
         raise ConfigError(f"run.fixed_point_tol must be positive, got {fixed_point_tol}")
 

@@ -1,5 +1,6 @@
 """Equilibrium analysis: consensus condition checks, exact opinion solves,
-Nash verification, exhaustive small-n enumeration, and parameter sweeps.
+Nash verification, branch-and-bound equilibrium enumeration, and parameter
+sweeps.
 
 The central facts this module operationalises, all for zero-prejudice
 players:
@@ -29,9 +30,11 @@ from .dynamics import (
     run,
 )
 from .model import (
+    DISCRIMINANT_TIE_TOL,
     ModelParams,
     Network,
     SystemState,
+    _revision,
     _stationarity,
     best_response,
 )
@@ -39,9 +42,14 @@ from .model import (
 CONDITION_ALL_DEFECTION_UNIQUE = "all_defection_unique"
 CONDITION_ALL_COOPERATION_EXISTS = "all_cooperation_exists"
 
-#: Largest n that ``enumerate_equilibria`` scans by default and that ``sweep``
-#: enumerates; a scan holds several 2^n x n float arrays at once.
+#: Largest n that ``enumerate_equilibria`` accepts by default and that ``sweep``
+#: enumerates. It bounds the output, not memory: the work follows the number of
+#: equilibria, which can grow exponentially in n (a 48-node ring has 55 182).
 ENUMERATION_MAX_N = 16
+
+#: Slack past the tie band before branch and bound fixes an action; it covers the
+#: rounding gap between its discriminant and that of the exact acceptance path.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -229,14 +237,15 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Complete equilibrium set from exhaustive action-profile enumeration.
+    """Complete equilibrium set over all 2^n action profiles.
 
     ``equilibria`` holds the states stationary under the dynamics (whose tie
     rule maps a zero discriminant to defect). ``boundary_equilibria`` holds
     states that are Nash equilibria only by the tie rule admitting
     cooperation at a zero discriminant; the dynamics would move off them.
-    ``solver_residuals`` is the max stationarity residual among accepted
-    equilibria (0.0 when none).
+    ``action_profiles_scanned`` counts the profiles covered (2^n), most of
+    them pruned in bulk rather than solved. ``solver_residuals`` is the max
+    stationarity residual among accepted equilibria (0.0 when none).
     """
 
     equilibria: tuple[Equilibrium, ...]
@@ -245,34 +254,66 @@ class EquilibriumReport:
     solver_residuals: float
 
 
+def _candidate_profiles(params: ModelParams, net: Network, M, psi) -> np.ndarray:
+    """Profiles that branch and bound cannot rule out, as a (k, n) bool array.
+
+    With ``y = K x`` and ``K = M^-1 diag(psi) >= 0``, each discriminant is
+    non-decreasing in ``x`` through the social term ``W K x``: the game has
+    strategic complements (Echenique 2007). So on an interval ``[L, U]`` a player
+    whose discriminant at ``L`` clears the tie band cooperates in every
+    equilibrium and one whose discriminant at ``U`` falls below it defects. All
+    intervals of a depth shrink by that rule as one batch until stable; empty
+    ones drop and the rest split on their first free player.
+    """
+    WK = net.W @ np.linalg.solve(M, np.diag(psi))
+    band = DISCRIMINANT_TIE_TOL + _PRUNE_MARGIN
+    lo, hi = np.zeros((1, params.n), dtype=bool), np.ones((1, params.n), dtype=bool)
+    leaves = []
+    while len(lo):
+        while True:
+            delta = _revision(np.concatenate([lo, hi]) @ WK.T, params)[0]
+            new_lo, new_hi = lo | (delta[: len(lo)] > band), hi & (delta[len(lo) :] >= -band)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
+        live = ~(lo & ~hi).any(axis=1)
+        lo, hi = lo[live], hi[live]
+        free = hi & ~lo
+        split = free.any(axis=1)
+        leaves.append(lo[~split])
+        lo, hi, free = lo[split], hi[split], free[split]
+        first = free & (free.cumsum(axis=1) == 1)
+        lo, hi = np.concatenate([lo | first, lo]), np.concatenate([hi, hi & ~first])
+    return np.concatenate(leaves)
+
+
 def enumerate_equilibria(
     params: ModelParams,
     net: Network,
     max_n: int = ENUMERATION_MAX_N,
 ) -> EquilibriumReport:
-    """Enumerate all equilibria by scanning every one of the 2^n action profiles.
+    """Enumerate all equilibria over the 2^n action profiles by branch and bound.
 
-    For each profile the stationary opinions are solved exactly; the profile
-    is accepted when every action agrees with its discriminant sign there
-    (cooperation needs a strictly positive discriminant, ties defect).
-    Profiles consistent only under the looser Nash tie rule are reported
-    separately as boundary equilibria.
+    For each profile ``_candidate_profiles`` keeps, the stationary opinions are
+    solved exactly; the profile is accepted when every action agrees with its
+    discriminant sign there (cooperation needs a strictly positive
+    discriminant, ties defect). Profiles consistent only under the looser
+    Nash tie rule are reported separately as boundary equilibria.
     """
     _require_solvable(params)
     if params.n > max_n:
         raise ValueError(
-            f"enumeration over n={params.n} means {2**params.n} action profiles "
-            f"and linear solves; raise max_n above {max_n} to allow it"
+            f"enumeration over n={params.n} searches {2**params.n} action profiles; "
+            f"raise max_n above {max_n} to allow it"
         )
     if net.n != params.n:
         raise ValueError(f"network has {net.n} nodes but params describe {params.n} players")
-    n = params.n
-    profiles = 1 << n
-    codes = np.arange(profiles, dtype=np.uint32)
-    # bit k of the code is player k's action
-    X = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-
     M, psi, _ = _opinion_system(params, net)
+    X = _candidate_profiles(params, net, M, psi)
+    # one batched solve in code order (bit k is player k's action): with two or more
+    # columns numpy takes the matrix path, whose bits match a solve of all 2^n profiles
+    # at once; a lone candidate is all-defection, exactly 0 on the vector path as well
+    X = X[np.lexsort(X.T)].astype(float)
     Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
 
     stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
@@ -299,7 +340,7 @@ def enumerate_equilibria(
     return EquilibriumReport(
         equilibria=equilibria,
         boundary_equilibria=boundary,
-        action_profiles_scanned=profiles,
+        action_profiles_scanned=1 << params.n,
         solver_residuals=float(max((e.residual for e in equilibria), default=0.0)),
     )
 

@@ -219,12 +219,13 @@ class SystemState:
         x = np.asarray(self.x)
         if not np.issubdtype(x.dtype, np.number):
             raise ValueError("actions must be numeric 0/1 values")
-        x = x.astype(np.int64)
         if x.ndim != 1:
             raise ValueError(f"action vector must be 1-d, got shape {x.shape}")
+        # checked before the cast, which would truncate 0.7 to 0
         if not np.isin(x, (0, 1)).all():
             bad = int(np.argmax(~np.isin(x, (0, 1))))
-            raise ValueError(f"player {bad + 1}: action must be 0 or 1, got {x[bad]!r}")
+            raise ValueError(f"player {bad + 1}: action must be 0 or 1, got {x[bad]}")
+        x = x.astype(np.int64)
         y = np.asarray(self.y, dtype=float)
         if y.shape != x.shape:
             raise ValueError(

@@ -169,6 +169,7 @@ def _load_edge_list(path: str, normalise: bool) -> Network:
 
 def _load_dense_csv(path: str, normalise: bool) -> Network:
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -178,14 +179,16 @@ def _load_dense_csv(path: str, normalise: bool) -> Network:
                 rows.append([float(cell) for cell in line.split(",")])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: empty matrix")
     n = len(rows)
-    widths = {len(row) for row in rows}
-    if widths != {n}:
-        raise ValueError(
-            f"{path}: ragged or non-square matrix ({n} rows, widths {sorted(widths)})"
-        )
+    for row, lineno in zip(rows, linenos):
+        if len(row) != n:
+            raise ValueError(
+                f"{path}:{lineno}: row has {len(row)} entries, expected {n} "
+                f"(ragged or non-square matrix)"
+            )
     return Network.from_matrix(np.array(rows), normalise=normalise)
 
 

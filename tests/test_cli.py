@@ -68,6 +68,11 @@ class TestExitCodes:
             ("sweep", {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "trials": [2]}),
             ("schedule", {"seed": [1]}),
             ("initial_state", {"preset": "random", "seed": {}}),
+            ("params", {"n": 4.9, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}),
+            ("run", {"max_steps": 2.9}),
+            ("schedule", {"seed": 2.5}),
+            ("network", {"type": "grid", "rows": 2.5, "cols": 2}),
+            ("initial_state", {"preset": "random", "seed": 2.5}),
         ],
     )
     def test_malformed_config_value_is_exit_1(self, tmp_path, capsys, section, value):

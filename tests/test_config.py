@@ -246,12 +246,55 @@ class TestRejections:
             ("run", {"max_steps": float("inf")}, "run.max_steps"),
             ("initial_state", {"preset": "random", "seed": {}}, "initial_state.seed"),
             ("network", {"type": "random", "seed": [3]}, "network:"),
+            # a fraction is refused, not truncated
+            ("params", {"n": 4.9, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}, "params.n must be an integer, got 4.9"),
+            ("run", {"max_steps": 2.9}, "run.max_steps must be an integer, got 2.9"),
+            ("schedule", {"seed": 2.5}, "schedule.seed must be an integer, got 2.5"),
+            ("sweep", {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "trials": 2.5}, "sweep.trials must be an integer, got 2.5"),
+            ("network", {"type": "grid", "rows": 2.5, "cols": 2}, "network.rows must be an integer, got 2.5"),
+            ("network", {"type": "grid", "rows": 2, "cols": 1.5}, "network.cols must be an integer, got 1.5"),
+            ("network", {"type": "random", "seed": 2.5}, "network.seed must be an integer, got 2.5"),
+            ("network", {"type": "random-symmetric", "seed": 0.5}, "network.seed must be an integer, got 0.5"),
+            ("initial_state", {"preset": "random", "seed": 2.5}, "initial_state.seed must be an integer, got 2.5"),
+            ("initial_state", {"x": [0.7, 1, 1, 1], "y": [0.5] * 4}, "initial_state: player 1: action must be 0 or 1, got 0.7"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, section, value, field):
         doc = dict(MINIMAL, **{section: value})
         with pytest.raises(ConfigError, match=field):
             load_config(write_config(tmp_path, doc))
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        as_ints = dict(
+            MINIMAL,
+            params={"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3},
+            network={"type": "grid", "rows": 2, "cols": 2},
+            schedule={"kind": "shuffled-rounds", "seed": 3},
+            initial_state={"x": [1, 0, 1, 0], "y": [0.5] * 4},
+            run={"max_steps": 10},
+            sweep={"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "trials": 5},
+        )
+        as_floats = dict(
+            as_ints,
+            params=dict(as_ints["params"], n=4.0),
+            network={"type": "grid", "rows": 2.0, "cols": 2.0},
+            schedule={"kind": "shuffled-rounds", "seed": 3.0},
+            initial_state={"x": [1.0, 0.0, 1.0, 0.0], "y": [0.5] * 4},
+            run={"max_steps": 10.0},
+            sweep=dict(as_ints["sweep"], trials=5.0),
+        )
+        want = load_config(write_config(tmp_path, as_ints))
+        got = load_config(write_config(tmp_path, as_floats))
+        assert type(got.params.n) is int and got.params.n == 4
+        assert type(got.max_steps) is int and got.max_steps == 10
+        assert type(got.sweep_trials) is int and got.sweep_trials == 5
+        assert got.schedule == want.schedule
+        assert got.initial_state == want.initial_state
+        np.testing.assert_array_equal(got.network.W, want.network.W)
+        for network in ({"type": "random", "seed": 2.0}, {"type": "random-symmetric", "seed": 2.0}):
+            got = load_config(write_config(tmp_path, dict(MINIMAL, network=network)))
+            want = load_config(write_config(tmp_path, dict(MINIMAL, network=dict(network, seed=2))))
+            np.testing.assert_array_equal(got.network.W, want.network.W)
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)

@@ -25,13 +25,14 @@ from coevo.model import (
     best_response,
     discriminant,
 )
-from coevo.networks import complete_network, random_symmetric_network
+from coevo.networks import complete_network, random_symmetric_network, ring_network
 from instances import (
     cooperation_regime_params,
     defection_regime_params,
     random_interior_params,
     random_row_stochastic,
 )
+from scan import scan_equilibria
 
 
 class TestConditions:
@@ -507,3 +508,86 @@ def test_enumeration_matches_per_profile_scan(seed, kind):
             np.testing.assert_allclose(
                 eq.state.y, expected[tuple(int(v) for v in eq.state.x)], atol=1e-12
             )
+
+
+SCAN_KINDS = ("sparse", "tied", "edge")
+
+
+def _scan_instances(seed, kind):
+    """Instances with n <= 10 for the dense-scan oracle.
+
+    "sparse": an asymmetric W with zero entries and self-loops, per-player
+    weights, some players with beta = 0 (no opinion coupling) or alpha = 0.
+    "tied" shares one set of weights and puts r where all-cooperation has a
+    zero discriminant, so it is an equilibrium only by the tie rule. "edge"
+    puts that discriminant at -DISCRIMINANT_TIE_TOL instead, for r and its
+    float neighbours, where rounding decides whether all-cooperation is a
+    boundary equilibrium: a prune without margin misses some of them.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    W = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+    W[np.arange(n), (np.arange(n) + 1) % n] += W.sum(axis=1) == 0.0
+    net = Network.from_matrix(W, normalise=True)
+    if kind == "sparse":
+        alpha = rng.uniform(0.0, 0.8, n) * (rng.random(n) < 0.9)
+        beta = (1.0 - alpha) * rng.uniform(0.0, 0.95, n) * (rng.random(n) < 0.8)
+        params = ModelParams(
+            n=n, r=float(rng.uniform(1.0 + 1e-6, n)), alpha=alpha, beta=beta,
+            lam=1.0 - alpha - beta, gamma=np.zeros(n), prejudice=np.full(n, 0.5),
+        )
+        return [(params, net)]
+    alpha, split = rng.uniform(0.3, 0.6), rng.uniform(0.35, 0.65)
+    beta, lam = (1 - alpha) * split, (1 - alpha) * (1 - split)
+    coupling = beta * lam / (beta + lam)
+    if kind == "tied":
+        r = n * (1 - coupling / (2 * alpha))
+        return [(ModelParams.uniform(n, r, alpha, beta, lam), net)]
+    r = n * (1 + (-DISCRIMINANT_TIE_TOL - coupling / 2) / alpha)
+    return [
+        (ModelParams.uniform(n, r + k * np.spacing(r), alpha, beta, lam), net)
+        for k in range(-4, 5)
+    ]
+
+
+def _profiles(equilibria):
+    return [tuple(int(v) for v in eq.state.x) for eq in equilibria]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SCAN_KINDS))
+def test_enumeration_matches_dense_scan_bit_for_bit(seed, kind):
+    for params, net in _scan_instances(seed, kind):
+        report = enumerate_equilibria(params, net)
+        expected = scan_equilibria(params, net)
+        for found, want in (
+            (report.equilibria, expected.equilibria),
+            (report.boundary_equilibria, expected.boundary_equilibria),
+        ):
+            assert _profiles(found) == _profiles(want)
+            for eq, ref in zip(found, want):
+                assert np.array_equal(eq.state.y, ref.state.y)
+                assert eq.state.y.tobytes() == ref.state.y.tobytes()  # -0.0 too
+                assert eq.residual == ref.residual
+                assert eq.state_class == ref.state_class
+        assert report.action_profiles_scanned == expected.action_profiles_scanned
+        assert report.solver_residuals == expected.solver_residuals
+
+
+def test_ring_enumeration_beyond_the_default_limit():
+    # 2^32 profiles could never be solved one by one; the ring's 1450
+    # equilibria are found by branch and bound, and rotating a ring maps
+    # equilibria to equilibria
+    n = 32
+    params = ModelParams.uniform(n, 0.85 * n, 0.15, 0.45)
+    net = ring_network(n)
+    report = enumerate_equilibria(params, net, max_n=n)
+    assert report.action_profiles_scanned == 2**n
+    profiles = set(_profiles(report.equilibria))
+    assert len(profiles) == len(report.equilibria) == 1450
+    for eq in report.equilibria:
+        assert verify_nash(eq.state, params, net).is_nash
+        assert is_fixed_point(eq.state, params, net)
+    for x in profiles:
+        for shift in range(1, n):
+            assert x[shift:] + x[:shift] in profiles

@@ -148,6 +148,20 @@ class TestDenseCsvFormat:
         with pytest.raises(ValueError, match="ragged|non-square"):
             load_network(str(p), format="dense-csv")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("0.5,0.5\n1.0\n", r"net\.csv:2: row has 1 entries, expected 2"),
+            ("# weights\n0,1\n\n1,0\n0.5,0.5\n", r"net\.csv:2: row has 2 entries, expected 3"),
+            ("0,1\n1,0,0\n", r"net\.csv:2: row has 3 entries, expected 2"),
+        ],
+    )
+    def test_ragged_row_names_its_line(self, tmp_path, text, where):
+        p = tmp_path / "net.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_network(str(p), format="dense-csv")
+
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "net.csv"
         p.write_text("1.0\n")
