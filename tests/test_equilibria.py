@@ -575,9 +575,9 @@ def test_enumeration_matches_dense_scan_bit_for_bit(seed, kind):
 
 
 def test_ring_enumeration_beyond_the_default_limit():
-    # 2^32 profiles could never be solved one by one; the ring's 1450
-    # equilibria are found by branch and bound, and rotating a ring maps
-    # equilibria to equilibria
+    # a dense scan would hold 2^32 x 32 opinions (1 TiB); branch and bound
+    # finds the ring's 1450 equilibria, and rotating a ring maps equilibria
+    # to equilibria
     n = 32
     params = ModelParams.uniform(n, 0.85 * n, 0.15, 0.45)
     net = ring_network(n)
