@@ -324,7 +324,9 @@ def run(
             rows.append(x, y)
             active_sets.append(active_set)
             if potentials is not None:
-                potentials.append(potential_of(y))
+                # a step of every player changes every term: refresh them in one pass
+                changed = active_set if len(active_set) < params.n else None
+                potentials.append(potential_of(y, changed))
         streak = streak + 1 if change <= fixed_point_tol else 0
         if streak >= window:
             stop_reason = "fixed_point"
@@ -387,18 +389,28 @@ def potential(y, params: ModelParams, net: Network) -> float:
 def _potential_evaluator(params: ModelParams, net: Network):
     """``potential`` as a function of ``y`` alone, for repeated evaluation.
 
-    The weights are divided once and the pairwise terms reuse one n-by-n
-    buffer; the operations and their order are those of the plain
-    expression ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``.
+    The weights are divided once and the pairwise terms ``W/2 * (y_i - y_j)^2``
+    live in one n-by-n buffer kept between calls; the operations and their
+    order are those of the plain expression
+    ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``.
+    ``evaluate(y)`` refreshes every term; ``evaluate(y, changed)`` rewrites
+    only the rows and columns of the players in ``changed``, which is exact
+    while the buffer matches the last ``y`` everywhere except at ``changed``
+    (so the first call refreshes every term): each term is one elementwise
+    expression, and the sum still runs over the whole buffer.
     """
     half_w = net.W / 2.0
     anchor_w = params.lam / params.beta
     buf = np.empty_like(half_w)
 
-    def evaluate(y: np.ndarray) -> float:
-        np.subtract(y[:, None], y[None, :], out=buf)
-        np.square(buf, out=buf)
-        np.multiply(half_w, buf, out=buf)
+    def evaluate(y: np.ndarray, changed: tuple[int, ...] | None = None) -> float:
+        if changed is None:
+            np.subtract(y[:, None], y[None, :], out=buf)
+            np.square(buf, out=buf)
+            np.multiply(half_w, buf, out=buf)
+        for i in changed or ():
+            buf[i] = half_w[i] * np.square(y[i] - y)
+            buf[:, i] = half_w[:, i] * np.square(y - y[i])
         disagreement = float(buf.sum())
         anchor = float((anchor_w * y**2).sum())
         return -0.5 * (disagreement + anchor)

@@ -47,33 +47,44 @@ def render_trajectory_csv(traj: Trajectory) -> str:
     An empty trajectory renders as the header line alone. Consecutive rows
     differ in few cells, so each row re-formats only the cells whose value
     changed since the row before; opinions are compared by their bits, which
-    tells -0.0 from 0.0.
+    tells -0.0 from 0.0. The changed cells of all rows are found at once, one
+    ``np.nonzero`` for actions and one for opinions, and each row's share is
+    located with ``searchsorted``.
     """
     X, Y, pots = traj.x, traj.y, traj.potentials
     rows, n = X.shape
     ids = range(1, n + 1)
     header = ["t", "active", *(f"x_{i}" for i in ids), *(f"y_{i}" for i in ids), "potential"]
     lines = [",".join(header)]
-    if rows:
-        y_bits = np.ascontiguousarray(Y).view(np.int64)
-        cells = (
-            ["0", ""]
-            + [str(int(v)) for v in X[0]]
-            + [format_real(v) for v in Y[0]]
-            + ["" if pots is None else format_real(pots[0])]
-        )
-        lines.append(",".join(cells))
+    if not rows:
+        return lines[0] + "\n"
+    y_bits = np.ascontiguousarray(Y).view(np.int64)
+    cells = ["0", "", *map(str, X[0].tolist()), *map(format_real, Y[0].tolist())]
+    cells.append("" if pots is None else format_real(pots[0]))
+    lines.append(",".join(cells))
+    # per kind of cell: the column and value of every changed cell in row
+    # order, and where each row's changes start
+    changes = []
+    for values, bits, text, first_column in ((X, X, str, 2), (Y, y_bits, format_real, 2 + n)):
+        row, player = np.nonzero(bits[1:] != bits[:-1])
+        changes.append((
+            (player + first_column).tolist(),
+            values[1:][row, player].tolist(),
+            text,
+            np.searchsorted(row, np.arange(rows)),
+        ))
     for t in range(1, rows):
         cells[0] = str(t)
         cells[1] = ";".join(str(i + 1) for i in traj.active_sets[t - 1])
-        for i in np.flatnonzero(X[t] != X[t - 1]).tolist():
-            cells[2 + i] = str(int(X[t, i]))
-        for i in np.flatnonzero(y_bits[t] != y_bits[t - 1]).tolist():
-            cells[2 + n + i] = format_real(Y[t, i])
+        for cols, vals, text, starts in changes:
+            for k in range(starts[t - 1], starts[t]):
+                cells[cols[k]] = text(vals[k])
         if pots is not None:
             cells[-1] = format_real(pots[t])
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # an empty last line ends the text with a newline without a second copy
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_trajectory_jsonl(traj: Trajectory) -> str:

@@ -44,7 +44,7 @@ def _check_weight_vector(name: str, values: np.ndarray, n: int) -> np.ndarray:
     if (values < 0.0).any() or (values > 1.0).any():
         bad = int(np.argmax((values < 0.0) | (values > 1.0)))
         raise ValueError(
-            f"player {bad + 1}: {name} must lie in [0, 1], got {values[bad]!r}"
+            f"player {bad + 1}: {name} must lie in [0, 1], got {float(values[bad])!r}"
         )
     return values
 
@@ -91,7 +91,7 @@ class ModelParams:
         if (off > WEIGHT_SUM_TOL).any():
             bad = int(np.argmax(off))
             raise ValueError(
-                f"player {bad + 1}: alpha + beta + lam must sum to 1, got {sums[bad]!r}"
+                f"player {bad + 1}: alpha + beta + lam must sum to 1, got {float(sums[bad])!r}"
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
@@ -176,13 +176,13 @@ class Network:
             raise ValueError("influence matrix contains non-finite entries")
         if (W < 0.0).any():
             i, j = np.unravel_index(int(np.argmin(W)), W.shape)
-            raise ValueError(f"negative weight W[{i + 1}, {j + 1}] = {W[i, j]!r}")
+            raise ValueError(f"negative weight W[{i + 1}, {j + 1}] = {float(W[i, j])!r}")
         sums = W.sum(axis=1)
         off = np.abs(sums - 1.0)
         if (off > ROW_SUM_TOL).any():
             bad = int(np.argmax(off))
             raise ValueError(
-                f"row {bad + 1} of the influence matrix sums to {sums[bad]!r}, must be 1"
+                f"row {bad + 1} of the influence matrix sums to {float(sums[bad])!r}, must be 1"
             )
         object.__setattr__(self, "W", _frozen_array(W))
         object.__setattr__(self, "n", n)
@@ -233,7 +233,7 @@ class SystemState:
             )
         if not np.isfinite(y).all() or (y < 0.0).any() or (y > 1.0).any():
             bad = int(np.argmax(~((y >= 0.0) & (y <= 1.0))))
-            raise ValueError(f"player {bad + 1}: opinion must lie in [0, 1], got {y[bad]!r}")
+            raise ValueError(f"player {bad + 1}: opinion must lie in [0, 1], got {float(y[bad])!r}")
         object.__setattr__(self, "x", _frozen_array(x, dtype=np.int64))
         object.__setattr__(self, "y", _frozen_array(y))
 

@@ -131,6 +131,53 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert f"{field} must be >= 0" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"params": {"n": 4, "r": 2.0, "alpha": 1.5, "beta": 0.3}},
+                "player 1: alpha must lie in [0, 1], got 1.5",
+            ),
+            (
+                {"params": {"n": 4, "r": 2.0, "alpha": 0.5, "beta": 0.5, "lambda": 0.5}},
+                "player 1: alpha + beta + lam must sum to 1, got 1.5",
+            ),
+            (
+                {
+                    "params": {"n": 3, "r": 2.0, "alpha": 0.3, "beta": 0.3},
+                    "network": {
+                        "type": "inline",
+                        "matrix": [[0, 0.5, 0.5], [0.5, 0, 0.5], [1.5, -0.5, 0]],
+                    },
+                },
+                "negative weight W[3, 2] = -0.5",
+            ),
+            (
+                {
+                    "params": {"n": 2, "r": 1.5, "alpha": 0.3, "beta": 0.3},
+                    "network": {"type": "inline", "matrix": [[0, 1], [0.5, 0]]},
+                },
+                "row 2 of the influence matrix sums to 0.5, must be 1",
+            ),
+            (
+                {
+                    "params": {"n": 2, "r": 1.5, "alpha": 0.3, "beta": 0.3},
+                    "initial_state": {"x": [0, 0], "y": [0.5, 1.5]},
+                },
+                "player 2: opinion must lie in [0, 1], got 1.5",
+            ),
+        ],
+    )
+    def test_rejected_value_prints_as_a_plain_number(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert message in err
+        assert "np." not in err
+
     def test_sweepless_config_refused_for_sweep(self, tmp_path):
         doc = {"params": {"n": 2, "r": 1.5, "alpha": 1 / 3, "beta": 1 / 3}}
         path = tmp_path / "nosweep.json"

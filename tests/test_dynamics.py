@@ -20,7 +20,7 @@ from coevo.dynamics import (
 )
 from coevo.equilibria import verify_nash
 from coevo.model import ModelParams, Network, SystemState
-from coevo.networks import complete_network, random_symmetric_network
+from coevo.networks import complete_network, grid_network, random_symmetric_network, ring_network
 from instances import (
     convergence_instance,
     random_interior_params,
@@ -524,3 +524,47 @@ def test_recorded_run_matches_step_replay(seed, kind, prejudiced, max_steps):
     assert lean.potentials is None
     np.testing.assert_array_equal(lean.x[0], traj.x[-1])
     np.testing.assert_array_equal(_bits(lean.y[0]), _bits(traj.y[-1]))
+
+
+def _sparse_network(rng: np.random.Generator, shape: str, n: int) -> Network:
+    if shape == "ring":
+        return ring_network(n)
+    if shape == "grid":
+        rows = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
+        return grid_network(rows, n // rows)
+    # random support with self-loops, not necessarily strongly connected
+    mask = rng.random((n, n)) < 0.15
+    np.fill_diagonal(mask, rng.random(n) < 0.5)
+    mask[np.diag_indices(n)] |= ~mask.any(axis=1)
+    return Network.from_matrix(np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0), normalise=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SCHEDULE_KINDS),
+    st.sampled_from(("ring", "grid", "random")),
+    st.integers(12, 40),
+    st.integers(1, 250),
+)
+def test_recorded_potentials_match_full_evaluation(seed, kind, shape, n, max_steps):
+    # n >= 12 puts the n^2 terms past numpy's 128-element pairwise-sum block,
+    # where a term refreshed out of place would show in the low bits
+    rng = np.random.default_rng(seed)
+    params = random_interior_params(rng, n)
+    net = _sparse_network(rng, shape, n)
+    traj = run(random_state(rng, n), make_schedule(kind, n, seed=seed), params, net, max_steps=max_steps)
+    assert traj.potentials is not None
+    for y, recorded in zip(traj.y, traj.potentials):
+        assert recorded == potential(y, params, net)
+
+
+def test_recorded_potentials_match_full_evaluation_on_a_long_ring():
+    n = 192
+    rng = np.random.default_rng(3)
+    params = ModelParams.uniform(n, 2.0, 0.4, 0.3)
+    net = ring_network(n)
+    traj = run(random_state(rng, n), make_schedule("round-robin", n), params, net, max_steps=600)
+    assert len(traj) == 601
+    for y, recorded in zip(traj.y, traj.potentials):
+        assert recorded == potential(y, params, net)

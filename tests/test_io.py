@@ -138,6 +138,41 @@ class TestTrajectoryFiles:
             )
             assert render_trajectory_csv(traj) == reference_csv(traj)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_csv_matches_full_reformatting_on_any_rows(self, data):
+        # 0, 1, 2 or many rows; each step changes nothing, actions only,
+        # opinions only or both, opinions swap 0.0 for -0.0, and a run of
+        # unchanged rows may close the trajectory
+        n = data.draw(st.integers(1, 6))
+        opinions = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1 / 3]), st.floats(0.0, 1.0))
+        changes = data.draw(st.lists(st.sampled_from(["none", "actions", "opinions", "both"]), max_size=30))
+        changes += ["none"] * data.draw(st.integers(0, 3))
+        rows = data.draw(st.sampled_from([0, len(changes) + 1]))
+        x = np.zeros((rows, n), dtype=np.int8)
+        y = np.zeros((rows, n))
+        if rows:
+            x[0] = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            y[0] = data.draw(st.lists(opinions, min_size=n, max_size=n))
+        for t, change in enumerate(changes if rows else [], start=1):
+            x[t], y[t] = x[t - 1], y[t - 1]
+            if change in ("actions", "both"):
+                i = data.draw(st.integers(0, n - 1))
+                x[t, i] = 1 - x[t, i]
+            if change in ("opinions", "both"):
+                for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                    y[t, i] = data.draw(opinions)
+        pots = data.draw(st.none() | st.lists(st.floats(allow_nan=False), min_size=rows, max_size=rows))
+        active = st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple)
+        traj = Trajectory(
+            x=x,
+            y=y,
+            active_sets=tuple(data.draw(active) for _ in range(rows - 1)),
+            potentials=pots,
+            stop_reason="max_steps",
+        )
+        assert render_trajectory_csv(traj) == reference_csv(traj)
+
     def test_csv_rerenders_signed_zero(self):
         traj = Trajectory(
             x=np.zeros((3, 1)),
