@@ -553,7 +553,8 @@ def test_recorded_potentials_match_full_evaluation(seed, kind, shape, n, max_ste
     rng = np.random.default_rng(seed)
     params = random_interior_params(rng, n)
     net = _sparse_network(rng, shape, n)
-    traj = run(random_state(rng, n), make_schedule(kind, n, seed=seed), params, net, max_steps=max_steps)
+    schedule = make_schedule(kind, n, seed=seed)
+    traj = run(random_state(rng, n), schedule, params, net, max_steps=max_steps)
     assert traj.potentials is not None
     for y, recorded in zip(traj.y, traj.potentials):
         assert recorded == potential(y, params, net)

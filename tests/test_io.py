@@ -146,7 +146,8 @@ class TestTrajectoryFiles:
         # unchanged rows may close the trajectory
         n = data.draw(st.integers(1, 6))
         opinions = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1 / 3]), st.floats(0.0, 1.0))
-        changes = data.draw(st.lists(st.sampled_from(["none", "actions", "opinions", "both"]), max_size=30))
+        kinds = st.sampled_from(["none", "actions", "opinions", "both"])
+        changes = data.draw(st.lists(kinds, max_size=30))
         changes += ["none"] * data.draw(st.integers(0, 3))
         rows = data.draw(st.sampled_from([0, len(changes) + 1]))
         x = np.zeros((rows, n), dtype=np.int8)
@@ -162,7 +163,8 @@ class TestTrajectoryFiles:
             if change in ("opinions", "both"):
                 for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1)):
                     y[t, i] = data.draw(opinions)
-        pots = data.draw(st.none() | st.lists(st.floats(allow_nan=False), min_size=rows, max_size=rows))
+        reals = st.lists(st.floats(allow_nan=False), min_size=rows, max_size=rows)
+        pots = data.draw(st.none() | reals)
         active = st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple)
         traj = Trajectory(
             x=x,
