@@ -19,9 +19,11 @@ from .model import (
     DISCRIMINANT_TIE_TOL,
     ModelParams,
     Network,
+    RevisionTerms,
     SystemState,
     _opinion,
     _revision,
+    _revision_terms,
     _stationarity,
 )
 
@@ -113,21 +115,30 @@ def _check_compatible(state: SystemState, params: ModelParams, net: Network) -> 
         )
 
 
+def _revise(
+    y: np.ndarray,
+    rows: np.ndarray,
+    terms: RevisionTerms,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best responses to opinions ``y`` of the players whose influence rows are ``rows``.
+
+    ``terms`` are those players' ``RevisionTerms``. All of them read the same
+    pre-step opinions. Returns their new actions (int8) and raw opinions,
+    before any clipping, in the order of ``rows``.
+    """
+    delta, pulled = _revision(rows @ y, terms)
+    s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
+    return s, _opinion(s, pulled, terms)
+
+
 def _apply(
     y: np.ndarray,
     active: np.ndarray,
     params: ModelParams,
     net: Network,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best responses of the ``active`` players (sorted, unique) to opinions ``y``.
-
-    All active players read the same pre-step opinions. Returns their new
-    actions (int8) and raw opinions, before any clipping, aligned with
-    ``active``.
-    """
-    delta, pulled = _revision(net.W[active] @ y, params, active)
-    s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
-    return s, _opinion(s, pulled, params, active)
+    """``_revise`` for the ``active`` players (sorted, unique), prepared on each call."""
+    return _revise(y, net.W[active], _revision_terms(params, active))
 
 
 def step(
@@ -289,8 +300,10 @@ def run(
             potential_of = _potential_evaluator(params, net)
             potentials = [potential_of(y)]
     active_sets: list[tuple[int, ...]] = []
-    # schedules repeat a few distinct sets; sort each into an index array once
-    prepared: dict[tuple[int, ...], tuple[np.ndarray, tuple[int, ...]]] = {}
+    # schedules repeat a few distinct sets: sort each into an index once, and
+    # keep its influence rows and revision terms, so a step is one matvec and
+    # the elementwise best response
+    prepared: dict[tuple[int, ...], tuple] = {}
 
     lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
     window = schedule.stability_window
@@ -303,23 +316,35 @@ def run(
         entry = prepared.get(key)
         if entry is None:
             active = np.unique(np.asarray(key, dtype=np.int64))
-            entry = prepared[key] = (active, tuple(int(i) for i in active))
-        active, active_set = entry
-        s, y_raw = _apply(y, active, params, net)
+            # a contiguous set (one player, or every player) is read and
+            # written through a slice, not through fancy-index copies
+            first, stop = int(active[0]), int(active[-1]) + 1
+            idx = slice(first, stop) if stop - first == len(active) else active
+            entry = prepared[key] = (
+                active,
+                tuple(int(i) for i in active),
+                idx,
+                net.W[active],
+                _revision_terms(params, idx),
+            )
+        active, active_set, idx, rows_w, terms = entry
+        s, y_raw = _revise(y, rows_w, terms)
         # NaN fails both comparisons, so non-finite updates trip the guard too
         if not (y_raw.min() >= lo and y_raw.max() <= hi):
             bad = int(np.argmax(~((y_raw >= lo) & (y_raw <= hi))))
             stop_reason = "divergence_guard"
             stop_detail = f"player {int(active[bad]) + 1}: raw opinion {float(y_raw[bad])!r}"
             break
-        y_active = np.clip(y_raw, 0.0, 1.0)
-        # inactive coordinates are untouched, so they contribute exactly 0
+        # the array methods skip the module functions' dispatch layers
+        y_active = y_raw.clip(0.0, 1.0)
+        # inactive coordinates are untouched, so they contribute exactly 0; a
+        # changed action moves by exactly 1
         change = max(
-            float(np.max(np.abs(y_active - y[active]))),
-            float(np.max(np.abs(s - x[active]))),
+            float(np.abs(y_active - y[idx]).max()),
+            float((s != x[idx]).any()),
         )
-        x[active] = s
-        y[active] = y_active
+        x[idx] = s
+        y[idx] = y_active
         if rows is not None:
             rows.append(x, y)
             active_sets.append(active_set)

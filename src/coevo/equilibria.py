@@ -35,6 +35,7 @@ from .model import (
     Network,
     SystemState,
     _revision,
+    _revision_terms,
     _stationarity,
     best_response,
 )
@@ -267,11 +268,12 @@ def _candidate_profiles(params: ModelParams, net: Network, M, psi) -> np.ndarray
     """
     WK = net.W @ np.linalg.solve(M, np.diag(psi))
     band = DISCRIMINANT_TIE_TOL + _PRUNE_MARGIN
+    terms = _revision_terms(params)
     lo, hi = np.zeros((1, params.n), dtype=bool), np.ones((1, params.n), dtype=bool)
     leaves = []
     while len(lo):
         while True:
-            delta = _revision(np.concatenate([lo, hi]) @ WK.T, params)[0]
+            delta = _revision(np.concatenate([lo, hi]) @ WK.T, terms)[0]
             new_lo, new_hi = lo | (delta[: len(lo)] > band), hi & (delta[len(lo) :] >= -band)
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break

@@ -26,13 +26,22 @@ def format_real(v: float) -> str:
     return "%.17g" % float(v)
 
 
+#: Characters handed to the encoder at a time by ``atomic_write``.
+_WRITE_SLICE = 1 << 20
+
+
 def atomic_write(path: str, text: str) -> None:
-    """Write the full text, then rename into place; readers never see partials."""
+    """Write the full text, then rename into place; readers never see partials.
+
+    The text is written in slices of ``_WRITE_SLICE`` characters, so only one
+    slice at a time is held encoded, never the whole text.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                f.write(text[start : start + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,7 +109,10 @@ def render_trajectory_jsonl(traj: Trajectory) -> str:
             "potential": None if traj.potentials is None else float(traj.potentials[t]),
         }
         out.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(out) + "\n"
+    # the empty last entry ends the text with a newline in the one join; an
+    # empty trajectory renders as a lone newline
+    out.append("")
+    return "\n".join(out) or "\n"
 
 
 def format_entry(table: dict, kind: str, format: str):

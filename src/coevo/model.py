@@ -15,6 +15,7 @@ immutable value objects, safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,8 +223,9 @@ class SystemState:
         if x.ndim != 1:
             raise ValueError(f"action vector must be 1-d, got shape {x.shape}")
         # checked before the cast, which would truncate 0.7 to 0
-        if not np.isin(x, (0, 1)).all():
-            bad = int(np.argmax(~np.isin(x, (0, 1))))
+        binary = (x == 0) | (x == 1)
+        if not binary.all():
+            bad = int(np.argmax(~binary))
             raise ValueError(f"player {bad + 1}: action must be 0 or 1, got {x[bad]}")
         x = x.astype(np.int64)
         y = np.asarray(self.y, dtype=float)
@@ -352,13 +354,27 @@ def social_term(i: int, y, net: Network) -> float:
     return float(np.dot(net.W[i], y))
 
 
-def _revision(social, params: ModelParams, players=slice(None)):
-    """Discriminant and prejudice-blended social pull of the listed players.
+class RevisionTerms(NamedTuple):
+    """The parameter-only part of the best response of a set of players.
 
-    ``social`` holds ``W[i] @ y`` for each player ``i`` in ``players`` along its
-    last axis, with any leading batch axes; ``players`` is an index, an index
-    array or a slice into the per-player parameters. Returns
-    ``(discriminant, pulled)`` shaped like ``social``.
+    ``base`` is ``alpha * (r/n - 1)``, ``coupling`` is ``beta * lam / (beta + lam)``
+    and ``denom`` is ``beta + lam``. ``blend`` is ``(1 - gamma, gamma * prejudice)``,
+    or None when none of the players is attached to a prejudice.
+    """
+
+    base: np.ndarray
+    coupling: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
+    denom: np.ndarray
+    blend: tuple[np.ndarray, np.ndarray] | None
+
+
+def _revision_terms(params: ModelParams, players=slice(None)) -> RevisionTerms:
+    """``RevisionTerms`` of the listed players: an index, an index array or a slice.
+
+    Raises a ValueError naming the first listed player whose ``beta + lam`` is
+    not positive, for whom the best response is undefined.
     """
     beta = params.beta[players]
     lam = params.lam[players]
@@ -370,19 +386,27 @@ def _revision(social, params: ModelParams, players=slice(None)):
             f"lam={params.lam[bad]}); the best response is undefined otherwise"
         )
     g = params.gamma[players]
-    # with no prejudice attachment the blend returns ``social`` bit for bit;
-    # skipping it spares batched callers one full-size temporary
-    pulled = (1.0 - g) * social + g * params.prejudice[players] if g.any() else social
-    coupling = beta * lam / denom
-    delta = params.alpha[players] * (params.r / params.n - 1.0) + coupling * (pulled - 0.5)
-    return delta, pulled
+    # with no prejudice attachment the blend would return ``social`` bit for
+    # bit; skipping it spares batched callers one full-size temporary
+    blend = (1.0 - g, g * params.prejudice[players]) if g.any() else None
+    base = params.alpha[players] * (params.r / params.n - 1.0)
+    return RevisionTerms(base, beta * lam / denom, beta, lam, denom, blend)
 
 
-def _opinion(actions, pulled, params: ModelParams, players=slice(None)):
-    """Optimal opinion of the listed players for ``actions``, given their ``pulled``."""
-    beta = params.beta[players]
-    lam = params.lam[players]
-    return (beta * pulled + actions * lam) / (beta + lam)
+def _revision(social, terms: RevisionTerms):
+    """Discriminant and prejudice-blended social pull of the players of ``terms``.
+
+    ``social`` holds ``W[i] @ y`` for each of those players along its last
+    axis, with any leading batch axes. Returns ``(discriminant, pulled)``
+    shaped like ``social``.
+    """
+    pulled = social if terms.blend is None else terms.blend[0] * social + terms.blend[1]
+    return terms.base + terms.coupling * (pulled - 0.5), pulled
+
+
+def _opinion(actions, pulled, terms: RevisionTerms):
+    """Optimal opinion of the players of ``terms`` for ``actions``, given their ``pulled``."""
+    return (terms.beta * pulled + actions * terms.lam) / terms.denom
 
 
 def _stationarity(x, y, social, params: ModelParams):
@@ -391,8 +415,9 @@ def _stationarity(x, y, social, params: ModelParams):
     ``stable``: the dynamics keep the action (ties defect); ``nash``: it is a best
     response (a tie admits either); ``gap``: distance from its optimal opinion.
     """
-    delta, pulled = _revision(social, params)
-    gap = np.abs(y - _opinion(x, pulled, params))
+    terms = _revision_terms(params)
+    delta, pulled = _revision(social, terms)
+    gap = np.abs(y - _opinion(x, pulled, terms))
     eps = DISCRIMINANT_TIE_TOL
     stable = x == (delta > eps)
     nash = np.where(x == 1, delta >= -eps, delta <= eps)
@@ -406,7 +431,7 @@ def discriminant(i: int, y, params: ModelParams, net: Network) -> float:
     Depends on opinions only, never on any action vector, which is why this
     function takes no actions.
     """
-    return _revision(social_term(i, y, net), params, i)[0]
+    return _revision(social_term(i, y, net), _revision_terms(params, i))[0]
 
 
 def best_response(i: int, y, params: ModelParams, net: Network) -> BestResponseSet:
@@ -424,12 +449,13 @@ def best_response(i: int, y, params: ModelParams, net: Network) -> BestResponseS
     points of the two maps coincide, so equilibrium analyses are unaffected.
     """
     i = _check_player(i, params.n)
-    disc, pulled = _revision(social_term(i, y, net), params, i)
+    terms = _revision_terms(params, i)
+    disc, pulled = _revision(social_term(i, y, net), terms)
     if abs(disc) <= DISCRIMINANT_TIE_TOL:
         actions: tuple[int, ...] = (0, 1)
     elif disc > 0.0:
         actions = (1,)
     else:
         actions = (0,)
-    entries = tuple((s, _opinion(s, pulled, params, i)) for s in actions)
+    entries = tuple((s, _opinion(s, pulled, terms)) for s in actions)
     return BestResponseSet(entries=entries, discriminant_value=disc)

@@ -252,13 +252,13 @@ class TestSimulate:
     def test_divergence_summary_names_the_player(self, config_path, capsys, monkeypatch):
         import coevo.dynamics as dynamics_module
 
-        real_apply = dynamics_module._apply
+        real_revise = dynamics_module._revise
 
-        def poisoned(y, active, params, net):
-            s, y_raw = real_apply(y, active, params, net)
+        def poisoned(y, rows, terms):
+            s, y_raw = real_revise(y, rows, terms)
             return s, y_raw - 2.0
 
-        monkeypatch.setattr(dynamics_module, "_apply", poisoned)
+        monkeypatch.setattr(dynamics_module, "_revise", poisoned)
         assert cli_main(["simulate", config_path]) == 0
         err = capsys.readouterr().err
         assert "stopped after 0 steps: divergence_guard (player 1: raw opinion -" in err

@@ -213,16 +213,16 @@ class TestRun:
         # the guard is unreachable through valid inputs; force the raw update
         # out of range to check the stop path
         calls = {"n": 0}
-        real_apply = dynamics_module._apply
+        real_revise = dynamics_module._revise
 
-        def poisoned(state, active, params, net):
+        def poisoned(y, rows, terms):
             calls["n"] += 1
-            x_new, y_new = real_apply(state, active, params, net)
+            x_new, y_new = real_revise(y, rows, terms)
             if calls["n"] == 3:
                 y_new = y_new + 5.0
             return x_new, y_new
 
-        monkeypatch.setattr(dynamics_module, "_apply", poisoned)
+        monkeypatch.setattr(dynamics_module, "_revise", poisoned)
         traj = run(
             SystemState.all_cooperation(4),
             make_schedule("round-robin", 4),
@@ -234,8 +234,24 @@ class TestRun:
         assert len(traj) == 3
         assert float(traj.final.y.max()) <= 1.0
         # the third round-robin revision is player 3's, poisoned by +5
-        _, y_raw = real_apply(traj.final.y, np.array([2]), params_r2, complete4)
+        monkeypatch.undo()
+        _, y_raw = dynamics_module._apply(traj.final.y, np.array([2]), params_r2, complete4)
         assert traj.stop_detail == f"player 3: raw opinion {float(y_raw[0]) + 5.0!r}"
+
+    @pytest.mark.parametrize("kind", ["round-robin", "iid-random"])
+    def test_zero_opinion_and_consistency_weight_names_the_player(self, kind, complete4):
+        # player 3 weighs only the game: beta + lam = 0 leaves its opinion undefined
+        params = ModelParams(
+            n=4,
+            r=2.0,
+            alpha=np.array([0.4, 0.4, 1.0, 0.4]),
+            beta=np.array([0.3, 0.3, 0.0, 0.3]),
+            lam=np.array([0.3, 0.3, 0.0, 0.3]),
+            gamma=np.zeros(4),
+            prejudice=np.full(4, 0.5),
+        )
+        with pytest.raises(ValueError, match=r"^player 3: beta \+ lam must be positive"):
+            run(SystemState.all_cooperation(4), make_schedule(kind, 4, seed=1), params, complete4)
 
     def test_stop_detail_empty_unless_diverged(self, params_r2, complete4):
         for max_steps in (3, 1000):

@@ -21,6 +21,7 @@ from coevo.io import (
     nash_check_to_jsonable,
     render_json,
     render_trajectory_csv,
+    render_trajectory_jsonl,
     write_json,
 )
 from coevo.model import SystemState, best_response
@@ -95,6 +96,18 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files(self, tmp_path):
         atomic_write(str(tmp_path / "a.txt"), "x" * 10000)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    def test_multibyte_text_across_slices_reads_back(self, tmp_path):
+        from coevo.io import _WRITE_SLICE
+
+        # three slices; the first two end on a 3-byte character
+        text = "é€" * _WRITE_SLICE + "tail é"
+        assert text[_WRITE_SLICE - 1] == text[2 * _WRITE_SLICE - 1] == "€"
+        assert len(text.encode("utf-8")) > 2 * 2**20
+        path = tmp_path / "big.txt"
+        atomic_write(str(path), text)
+        assert path.read_text(encoding="utf-8") == text
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestTrajectoryFiles:
@@ -218,6 +231,12 @@ class TestTrajectoryFiles:
             back = load_trajectory(path, format=fmt)
             np.testing.assert_array_equal(back.states[0].y, y)
             assert back.potentials[0] == -1 / 7
+
+    def test_empty_trajectory_renders_one_json_line_break(self):
+        empty = Trajectory(
+            x=np.zeros((0, 0)), y=np.zeros((0, 0)), active_sets=(), potentials=None, stop_reason="unknown"
+        )
+        assert render_trajectory_jsonl(empty) == "\n"
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
         empty = Trajectory(
@@ -513,3 +532,27 @@ def test_outputs_match_recorded_digests(name, fmt, tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+#: A synchronous sweep whose trials include 2-cycles that run until
+#: ``max_steps``: 4 of its 32 trials end on the budget.
+GOLDEN_SWEEP_CONFIG = {
+    "params": {"n": 8, "r": 2.0, "alpha": 0.2, "beta": 0.3},
+    "network": {"type": "random", "edge_probability": 0.4, "seed": 3},
+    "schedule": {"kind": "synchronous", "seed": 2},
+    "initial_state": "all-defect-consensus",
+    "run": {"max_steps": 60},
+    "sweep": {"r": [6.0, 7.9], "alpha": [0.2, 0.4], "beta": [0.3], "trials": 8},
+}
+
+#: SHA-256 of ``coevo sweep`` output for ``GOLDEN_SWEEP_CONFIG``, recorded
+#: from the dynamics that re-derived every revision term on each step.
+GOLDEN_SWEEP_DIGEST = "32ef1fa2dd53c383cda36378d0f2982b7f5db97ae13ea048a4b306197da61714"
+
+
+def test_sweep_output_matches_recorded_digest(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(GOLDEN_SWEEP_CONFIG))
+    assert cli_main(["sweep", str(config), "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_DIGEST
