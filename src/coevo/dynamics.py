@@ -115,11 +115,7 @@ def _check_compatible(state: SystemState, params: ModelParams, net: Network) -> 
         )
 
 
-def _revise(
-    y: np.ndarray,
-    rows: np.ndarray,
-    terms: RevisionTerms,
-) -> tuple[np.ndarray, np.ndarray]:
+def _revise(y: np.ndarray, rows: np.ndarray, terms: RevisionTerms) -> tuple[np.ndarray, np.ndarray]:
     """Best responses to opinions ``y`` of the players whose influence rows are ``rows``.
 
     ``terms`` are those players' ``RevisionTerms``. All of them read the same
@@ -300,7 +296,7 @@ def run(
             potential_of = _potential_evaluator(params, net)
             potentials = [potential_of(y)]
     active_sets: list[tuple[int, ...]] = []
-    # schedules repeat a few distinct sets: sort each into an index once, and
+    # schedules repeat a few distinct sets: sort each into an index once and
     # keep its influence rows and revision terms, so a step is one matvec and
     # the elementwise best response
     prepared: dict[tuple[int, ...], tuple] = {}
@@ -320,20 +316,15 @@ def run(
             # written through a slice, not through fancy-index copies
             first, stop = int(active[0]), int(active[-1]) + 1
             idx = slice(first, stop) if stop - first == len(active) else active
-            entry = prepared[key] = (
-                active,
-                tuple(int(i) for i in active),
-                idx,
-                net.W[active],
-                _revision_terms(params, idx),
-            )
-        active, active_set, idx, rows_w, terms = entry
+            terms = _revision_terms(params, idx)
+            entry = prepared[key] = (tuple(active.tolist()), idx, net.W[idx], terms)
+        active_set, idx, rows_w, terms = entry
         s, y_raw = _revise(y, rows_w, terms)
         # NaN fails both comparisons, so non-finite updates trip the guard too
         if not (y_raw.min() >= lo and y_raw.max() <= hi):
             bad = int(np.argmax(~((y_raw >= lo) & (y_raw <= hi))))
             stop_reason = "divergence_guard"
-            stop_detail = f"player {int(active[bad]) + 1}: raw opinion {float(y_raw[bad])!r}"
+            stop_detail = f"player {active_set[bad] + 1}: raw opinion {float(y_raw[bad])!r}"
             break
         # the array methods skip the module functions' dispatch layers
         y_active = y_raw.clip(0.0, 1.0)

@@ -555,6 +555,29 @@ def _sparse_network(rng: np.random.Generator, shape: str, n: int) -> Network:
     return Network.from_matrix(np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0), normalise=True)
 
 
+class _ScatteredSets(RevisionSchedule):
+    """Active sets that are not contiguous runs of players, unsorted, with repeats."""
+
+    def sets(self):
+        while True:
+            yield (4, 0, 2)
+            yield (3, 1, 3)
+
+
+def test_scattered_active_sets_match_step_replay():
+    rng = np.random.default_rng(11)
+    params = random_interior_params(rng, 5)
+    net = random_row_stochastic(rng, 5)
+    initial = random_state(rng, 5)
+    traj = run(initial, _ScatteredSets("scattered", 5, 0, 2), params, net, max_steps=40)
+    assert traj.active_sets[:2] == ((0, 2, 4), (1, 3))
+    states = traj.states
+    for t, active in enumerate(traj.active_sets):
+        replayed = step(states[t], active, params, net)
+        np.testing.assert_array_equal(replayed.x, states[t + 1].x)
+        np.testing.assert_array_equal(_bits(replayed.y), _bits(states[t + 1].y))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
