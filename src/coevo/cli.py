@@ -32,8 +32,9 @@ from .io import (
     render_json,
     sweep_table_to_jsonable,
     write_json,
+    write_sliced,
 )
-from .model import best_response
+from .model import _state_fault, best_response
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        write_sliced(sys.stdout, text)
     else:
         atomic_write(out, text)
 
@@ -184,8 +185,9 @@ def _cmd_best_response(args, cfg) -> int:
         raise ConfigError(f"--opinions must be comma-separated numbers, got {args.opinions!r}") from None
     if y.shape != (n,):
         raise ConfigError(f"--opinions must have {n} entries, got {y.shape[0]}")
-    if (y < 0.0).any() or (y > 1.0).any():
-        raise ConfigError("--opinions entries must lie in [0, 1]")
+    fault = _state_fault(None, y)
+    if fault is not None:
+        raise ConfigError(f"--opinions: {fault[1]}")
     br = best_response(args.player - 1, y, cfg.params, cfg.network)
     _emit(render_json(best_response_to_jsonable(br)), args.out)
     return 0

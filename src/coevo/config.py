@@ -278,6 +278,8 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         fixed_point_tol = float(run_section.get("fixed_point_tol", 1e-10))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("run.fixed_point_tol must be a number") from None
+    if not np.isfinite(fixed_point_tol):
+        raise ConfigError(f"run.fixed_point_tol must be finite, got {fixed_point_tol}")
     if fixed_point_tol <= 0.0:
         raise ConfigError(f"run.fixed_point_tol must be positive, got {fixed_point_tol}")
 

@@ -21,13 +21,24 @@ from .model import (
     Network,
     RevisionTerms,
     SystemState,
+    _check_sizes,
+    _check_vector,
     _opinion,
     _revision,
     _revision_terms,
     _stationarity,
 )
 
-SCHEDULE_KINDS = ("synchronous", "round-robin", "shuffled-rounds", "iid-random")
+#: Schedule kind -> its coverage window for n players (None: no guarantee).
+_WINDOWS = {
+    "synchronous": lambda n: 1,  # everyone every step
+    "round-robin": lambda n: n,  # players 1..n cyclically
+    # a fresh uniform permutation each block of n steps; in the worst case a
+    # player leads one block and trails the next
+    "shuffled-rounds": lambda n: 2 * n - 1,
+    "iid-random": lambda n: None,  # one uniformly random player per step
+}
+SCHEDULE_KINDS = tuple(_WINDOWS)
 
 #: Raw opinion updates further than this outside [0, 1] indicate an internal
 #: fault (legitimate row-sum dust is bounded by the 1e-9 network tolerance).
@@ -84,35 +95,14 @@ class RevisionSchedule:
 
 
 def make_schedule(kind: str, n: int, seed: int | None = None) -> RevisionSchedule:
-    """Build a revision schedule of the given kind.
-
-    Kinds: ``synchronous`` (everyone every step, window 1), ``round-robin``
-    (players 1..n cyclically, window n), ``shuffled-rounds`` (a fresh uniform
-    permutation each block of n steps, window 2n-1), ``iid-random`` (one
-    uniformly random player per step, no window guarantee). A missing
-    ``seed`` is stored as 0.
-    """
+    """Build a revision schedule of one of the ``SCHEDULE_KINDS``, with the
+    coverage window of that kind; a missing ``seed`` is stored as 0."""
     if n < 2:
         raise ValueError(f"schedules need n >= 2, got {n}")
-    if kind == "synchronous":
-        T = 1
-    elif kind == "round-robin":
-        T = n
-    elif kind == "shuffled-rounds":
-        # worst case: a player leads one block and trails the next
-        T = 2 * n - 1
-    elif kind == "iid-random":
-        T = None
-    else:
+    # a tuple test, not a dict lookup, so an unhashable kind is refused as unknown
+    if kind not in SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}; choose one of {SCHEDULE_KINDS}")
-    return RevisionSchedule(kind, n, seed if seed is not None else 0, T)
-
-
-def _check_compatible(state: SystemState, params: ModelParams, net: Network) -> None:
-    if state.n != params.n or net.n != params.n:
-        raise ValueError(
-            f"size mismatch: state has {state.n} players, params {params.n}, network {net.n}"
-        )
+    return RevisionSchedule(kind, n, seed if seed is not None else 0, _WINDOWS[kind](n))
 
 
 def _revise(y: np.ndarray, rows: np.ndarray, terms: RevisionTerms) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +141,7 @@ def step(
     the clip never engages (updates are convex combinations), it only absorbs
     dust from networks whose rows sum to 1 within the 1e-9 tolerance.
     """
-    _check_compatible(state, params, net)
+    _check_sizes(params, net, state)
     active = np.unique(np.asarray(list(active), dtype=np.int64))
     if active.size == 0:
         return state
@@ -279,7 +269,7 @@ def run(
     only the final state is kept and no potential is computed, so memory does
     not grow with ``max_steps``.
     """
-    _check_compatible(initial, params, net)
+    _check_sizes(params, net, initial)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if schedule.n != params.n:
@@ -288,13 +278,9 @@ def run(
     x = initial.x.astype(np.int8)
     y = np.array(initial.y)
     rows: _Rows | None = None
-    potentials: list[float] | None = None
     if record:
         rows = _Rows(params.n, min(max_steps + 1, 1024))
         rows.append(x, y)
-        if (params.gamma == 0.0).all() and (params.beta > 0.0).all():
-            potential_of = _potential_evaluator(params, net)
-            potentials = [potential_of(y)]
     active_sets: list[tuple[int, ...]] = []
     # schedules repeat a few distinct sets: sort each into an index once and
     # keep its influence rows and revision terms, so a step is one matvec and
@@ -339,20 +325,17 @@ def run(
         if rows is not None:
             rows.append(x, y)
             active_sets.append(active_set)
-            if potentials is not None:
-                # a step of every player changes every term: refresh them in one pass
-                changed = active_set if len(active_set) < params.n else None
-                potentials.append(potential_of(y, changed))
         streak = streak + 1 if change <= fixed_point_tol else 0
         if streak >= window:
             stop_reason = "fixed_point"
             break
     X, Y = rows.arrays() if rows is not None else (x[None, :], y[None, :])
+    defined = record and _potential_fault(params) is None
     return Trajectory(
         x=X,
         y=Y,
         active_sets=tuple(active_sets),
-        potentials=potentials,
+        potentials=_potentials(Y, active_sets, params, net) if defined else None,
         stop_reason=stop_reason,
         stop_detail=stop_detail,
     )
@@ -369,23 +352,22 @@ def is_fixed_point(
     Checks that every action equals its discriminant sign (ties to defect)
     and every opinion sits within ``tol`` of its action-conditional optimum.
     """
-    _check_compatible(state, params, net)
+    _check_sizes(params, net, state)
     stable, _, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
     return bool(stable.all() and np.max(gap) <= tol)
 
 
-def _require_potential_regime(params: ModelParams) -> None:
-    if (params.gamma != 0.0).any():
-        bad = int(np.argmax(params.gamma != 0.0))
-        raise ValueError(
-            f"player {bad + 1}: the potential is defined only for zero prejudice "
-            f"attachment, got gamma={params.gamma[bad]}"
-        )
-    if (params.beta <= 0.0).any():
-        bad = int(np.argmax(params.beta <= 0.0))
-        raise ValueError(
-            f"player {bad + 1}: the potential divides by beta, got beta={params.beta[bad]}"
-        )
+def _potential_fault(params: ModelParams) -> str | None:
+    """Why the potential is undefined for ``params``, or None where it is defined:
+    every gamma zero and every beta positive."""
+    for values, bad, why in (
+        (params.gamma, params.gamma != 0.0, "is defined only for zero prejudice attachment, got gamma"),
+        (params.beta, params.beta <= 0.0, "divides by beta, got beta"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad))
+            return f"player {k + 1}: the potential {why}={values[k]}"
+    return None
 
 
 def potential(y, params: ModelParams, net: Network) -> float:
@@ -395,48 +377,43 @@ def potential(y, params: ModelParams, net: Network) -> float:
     network, with unique maximum 0 at y = 0. Requires all gamma zero and all
     beta positive.
     """
-    _require_potential_regime(params)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (params.n,):
-        raise ValueError(f"opinion vector must have length {params.n}, got shape {y.shape}")
-    return _potential_evaluator(params, net)(y)
+    fault = _potential_fault(params)
+    if fault is not None:
+        raise ValueError(fault)
+    y = _check_vector("opinion vector", y, params.n)
+    return float(_potentials(y[None, :], (), params, net)[0])
 
 
-def _potential_evaluator(params: ModelParams, net: Network):
-    """``potential`` as a function of ``y`` alone, for repeated evaluation.
+def _potentials(Y: np.ndarray, active_sets, params: ModelParams, net: Network) -> np.ndarray:
+    """``potential`` of every row of ``Y``, where ``active_sets[t]`` revised row t into row t+1.
 
-    The weights are divided once and the pairwise terms ``W/2 * (y_i - y_j)^2``
-    live in one n-by-n buffer kept between calls; the operations and their
-    order are those of the plain expression
-    ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``.
-    ``evaluate(y)`` refreshes every term; ``evaluate(y, changed)`` rewrites
-    only the rows and columns of the players in ``changed``, which is exact
-    while the buffer matches the last ``y`` everywhere except at ``changed``
-    (so the first call refreshes every term): each term is one elementwise
-    expression, and the sum still runs over the whole buffer.
+    The terms ``W/2 * (y_i - y_j)^2`` live in one n-by-n buffer, in the operations
+    and order of ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``. Row 0
+    and rows that every player revised refresh all terms; any other row rewrites
+    only its active players' rows and columns, the only terms that changed.
     """
     half_w = net.W / 2.0
     anchor_w = params.lam / params.beta
     buf = np.empty_like(half_w)
-
-    def evaluate(y: np.ndarray, changed: tuple[int, ...] | None = None) -> float:
-        if changed is None:
+    out = np.empty(len(Y))
+    for t, y in enumerate(Y):
+        if t == 0 or len(active_sets[t - 1]) == params.n:
             np.subtract(y[:, None], y[None, :], out=buf)
             np.square(buf, out=buf)
             np.multiply(half_w, buf, out=buf)
-        for i in changed or ():
-            buf[i] = half_w[i] * np.square(y[i] - y)
-            buf[:, i] = half_w[:, i] * np.square(y - y[i])
-        disagreement = float(buf.sum())
-        anchor = float((anchor_w * y**2).sum())
-        return -0.5 * (disagreement + anchor)
-
-    return evaluate
+        else:
+            for i in active_sets[t - 1]:
+                buf[i] = half_w[i] * np.square(y[i] - y)
+                buf[:, i] = half_w[:, i] * np.square(y - y[i])
+        out[t] = -0.5 * (float(buf.sum()) + float((anchor_w * y**2).sum()))
+    return out
 
 
 def potential_matrix(params: ModelParams, net: Network) -> np.ndarray:
     """The matrix M with potential_quadratic(y) = -1/2 y^T M y, for symmetric networks."""
-    _require_potential_regime(params)
+    fault = _potential_fault(params)
+    if fault is not None:
+        raise ValueError(fault)
     if not net.is_symmetric:
         raise ValueError("the quadratic potential form requires a symmetric network")
     return np.eye(params.n) - net.W + np.diag(params.lam / params.beta)
@@ -455,9 +432,7 @@ def potential_matrix_is_positive_definite(params: ModelParams, net: Network) -> 
 def potential_quadratic(y, params: ModelParams, net: Network) -> float:
     """Quadratic-form evaluation of the potential; equals potential() for symmetric W."""
     M = potential_matrix(params, net)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (params.n,):
-        raise ValueError(f"opinion vector must have length {params.n}, got shape {y.shape}")
+    y = _check_vector("opinion vector", y, params.n)
     return -0.5 * float(y @ M @ y)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .dynamics import (
     StateClass,
-    _check_compatible,
     classify_state,
     make_schedule,
     run,
@@ -34,6 +33,8 @@ from .model import (
     ModelParams,
     Network,
     SystemState,
+    _check_actions,
+    _check_sizes,
     _revision,
     _revision_terms,
     _stationarity,
@@ -151,13 +152,8 @@ def solve_opinion_equilibrium(
     preconditions, so a singular solve is an internal fault.
     """
     _require_solvable(params)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.n,):
-        raise ValueError(f"action vector must have length {params.n}, got shape {x.shape}")
-    if not np.isin(x, (0.0, 1.0)).all():
-        raise ValueError("action vector entries must be 0 or 1")
-    if net.n != params.n:
-        raise ValueError(f"network has {net.n} nodes but params describe {params.n} players")
+    x = _check_actions(x, params.n)
+    _check_sizes(params, net)
     M, psi, phi = _opinion_system(params, net)
     rhs = psi * x
     if method == "direct":
@@ -214,7 +210,7 @@ def verify_nash(
     action; opinions must match the action-conditional optimum within
     ``tol``.
     """
-    _check_compatible(state, params, net)
+    _check_sizes(params, net, state)
     _, nash, gap = _stationarity(state.x, state.y, net.W @ state.y, params)
     deviating = np.flatnonzero(~(nash & (gap <= tol)))
     if deviating.size == 0:
@@ -308,8 +304,7 @@ def enumerate_equilibria(
             f"enumeration over n={params.n} searches {2**params.n} action profiles; "
             f"raise max_n above {max_n} to allow it"
         )
-    if net.n != params.n:
-        raise ValueError(f"network has {net.n} nodes but params describe {params.n} players")
+    _check_sizes(params, net)
     M, psi, _ = _opinion_system(params, net)
     X = _candidate_profiles(params, net, M, psi)
     # one batched solve in code order (bit k is player k's action): with two or more

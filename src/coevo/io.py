@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .equilibria import ConditionReport, EquilibriumReport, NashCheck, SweepTable
-from .model import BestResponseSet, SystemState
+from .model import BestResponseSet, SystemState, _state_fault
 
 
 def format_real(v: float) -> str:
@@ -26,22 +26,24 @@ def format_real(v: float) -> str:
     return "%.17g" % float(v)
 
 
-#: Characters handed to the encoder at a time by ``atomic_write``.
+#: Characters handed to the encoder at a time by ``write_sliced``.
 _WRITE_SLICE = 1 << 20
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write the full text, then rename into place; readers never see partials.
+def write_sliced(f, text: str) -> None:
+    """Write ``text`` to the text stream ``f`` in slices of ``_WRITE_SLICE``
+    characters, so only one slice at a time is held encoded, never the whole text."""
+    for start in range(0, len(text), _WRITE_SLICE):
+        f.write(text[start : start + _WRITE_SLICE])
 
-    The text is written in slices of ``_WRITE_SLICE`` characters, so only one
-    slice at a time is held encoded, never the whole text.
-    """
+
+def atomic_write(path: str, text: str) -> None:
+    """Write the full text, then rename into place; readers never see partials."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            for start in range(0, len(text), _WRITE_SLICE):
-                f.write(text[start : start + _WRITE_SLICE])
+            write_sliced(f, text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -162,26 +164,13 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
             xs.append(x)
             ys.append(y)
             linenos.append(lineno)
-    # no dtype: an action too large for int64 stays an object for _check_rows
+    # no dtype: an action too large for int64 stays an object for _state_fault
     X = np.array(xs).reshape(len(xs), n or 0)
     Y = np.array(ys, dtype=float).reshape(len(ys), n or 0)
-    _check_rows(path, X, Y, linenos)
+    fault = _state_fault(X, Y)
+    if fault is not None:
+        raise ValueError(f"{path}:{linenos[fault[0][0]]}: {fault[1]}")
     return Trajectory(x=X, y=Y, active_sets=tuple(actives), potentials=pots, stop_reason="unknown")
-
-
-def _check_rows(path: str, X: np.ndarray, Y: np.ndarray, linenos: list[int]) -> None:
-    """Reject the first row that is not a valid state, naming its line and player."""
-    checks = (
-        (X, (X != 0) & (X != 1), "action must be 0 or 1"),
-        (Y, ~((Y >= 0.0) & (Y <= 1.0)), "opinion must lie in [0, 1]"),
-    )
-    for values, bad, rule in checks:
-        if bad.any():
-            row, player = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise ValueError(
-                f"{path}:{linenos[row]}: player {player + 1}: {rule}, "
-                f"got {values[row].tolist()[player]!r}"
-            )
 
 
 def _read(convert, value, where: str, what: str):

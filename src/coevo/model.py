@@ -209,6 +209,21 @@ class Network:
         return cls(W)
 
 
+def _state_fault(x, y) -> tuple[tuple[int, ...], str] | None:
+    """The first entry of ``(..., n)`` actions ``x`` (None: opinions alone) and
+    opinions ``y`` outside {0,1}^n x [0,1]^n, as ``(index, "player k: <rule>, got
+    <value>")``, or None. Rows go in order, a row's actions before its opinions,
+    so on one row the message is the one ``SystemState`` raises."""
+    bad_y = ~((y >= 0.0) & (y <= 1.0))
+    bad_x = np.zeros_like(bad_y) if x is None else (x != 0) & (x != 1)
+    bad = np.stack([bad_x, bad_y], axis=-2)
+    if not bad.any():
+        return None
+    *row, part, player = map(int, np.unravel_index(int(np.argmax(bad)), bad.shape))
+    values, rule = ((x, "action must be 0 or 1"), (y, "opinion must lie in [0, 1]"))[part]
+    return (*row, player), f"player {player + 1}: {rule}, got {values[tuple(row)].tolist()[player]!r}"
+
+
 @dataclass(frozen=True, eq=False)
 class SystemState:
     """Joint state: action vector x in {0,1}^n and opinion vector y in [0,1]^n."""
@@ -222,20 +237,15 @@ class SystemState:
             raise ValueError("actions must be numeric 0/1 values")
         if x.ndim != 1:
             raise ValueError(f"action vector must be 1-d, got shape {x.shape}")
-        # checked before the cast, which would truncate 0.7 to 0
-        binary = (x == 0) | (x == 1)
-        if not binary.all():
-            bad = int(np.argmax(~binary))
-            raise ValueError(f"player {bad + 1}: action must be 0 or 1, got {x[bad]}")
-        x = x.astype(np.int64)
         y = np.asarray(self.y, dtype=float)
         if y.shape != x.shape:
             raise ValueError(
                 f"action and opinion vectors differ in length: {x.shape} vs {y.shape}"
             )
-        if not np.isfinite(y).all() or (y < 0.0).any() or (y > 1.0).any():
-            bad = int(np.argmax(~((y >= 0.0) & (y <= 1.0))))
-            raise ValueError(f"player {bad + 1}: opinion must lie in [0, 1], got {float(y[bad])!r}")
+        # checked before the cast, which would truncate 0.7 to 0
+        fault = _state_fault(x, y)
+        if fault is not None:
+            raise ValueError(fault[1])
         object.__setattr__(self, "x", _frozen_array(x, dtype=np.int64))
         object.__setattr__(self, "y", _frozen_array(y))
 
@@ -299,6 +309,20 @@ def _check_vector(name: str, values, n: int) -> np.ndarray:
     return out
 
 
+def _check_actions(x, n: int) -> np.ndarray:
+    x = _check_vector("action vector", x, n)
+    if not np.isin(x, (0.0, 1.0)).all():
+        raise ValueError("action vector entries must be 0 or 1")
+    return x
+
+
+def _check_sizes(params: ModelParams, net: Network, state: SystemState | None = None) -> None:
+    """Refuse a network, or a state when given, that is not sized for ``params``."""
+    if net.n != params.n or (state is not None and state.n != params.n):
+        held = "" if state is None else f"state has {state.n} players, "
+        raise ValueError(f"size mismatch: {held}params {params.n}, network {net.n}")
+
+
 def pgg_payoff(i: int, x, params: ModelParams) -> float:
     """Public-goods payoff of player ``i`` under action vector ``x``.
 
@@ -307,9 +331,7 @@ def pgg_payoff(i: int, x, params: ModelParams) -> float:
     contributing.
     """
     i = _check_player(i, params.n)
-    x = _check_vector("action vector", x, params.n)
-    if not np.isin(x, (0.0, 1.0)).all():
-        raise ValueError("action vector entries must be 0 or 1")
+    x = _check_actions(x, params.n)
     others = float(x.sum() - x[i])
     if x[i]:
         return params.r * (others + 1.0) / params.n - 1.0
@@ -324,8 +346,7 @@ def opinion_payoff(i: int, y, params: ModelParams, net: Network) -> float:
     """
     i = _check_player(i, params.n)
     y = _check_vector("opinion vector", y, params.n)
-    if net.n != params.n:
-        raise ValueError(f"network has {net.n} nodes but params describe {params.n} players")
+    _check_sizes(params, net)
     g = params.gamma[i]
     disagreement = float(np.dot(net.W[i], (y[i] - y) ** 2))
     return -0.5 * (1.0 - g) * disagreement - 0.5 * g * (y[i] - params.prejudice[i]) ** 2
@@ -334,8 +355,7 @@ def opinion_payoff(i: int, y, params: ModelParams, net: Network) -> float:
 def total_payoff(i: int, state: SystemState, params: ModelParams, net: Network) -> float:
     """Joint payoff: alpha * game share + beta * opinion payoff - lam/2 * (x - y)^2."""
     i = _check_player(i, params.n)
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} players but params describe {params.n}")
+    _check_sizes(params, net, state)
     consistency = 0.5 * params.lam[i] * float(state.x[i] - state.y[i]) ** 2
     return (
         params.alpha[i] * pgg_payoff(i, state.x, params)
@@ -431,6 +451,7 @@ def discriminant(i: int, y, params: ModelParams, net: Network) -> float:
     Depends on opinions only, never on any action vector, which is why this
     function takes no actions.
     """
+    _check_sizes(params, net)
     return _revision(social_term(i, y, net), _revision_terms(params, i))[0]
 
 
@@ -448,6 +469,7 @@ def best_response(i: int, y, params: ModelParams, net: Network) -> BestResponseS
     damped step toward the true argmax rather than the argmax itself; fixed
     points of the two maps coincide, so equilibrium analyses are unaffected.
     """
+    _check_sizes(params, net)
     i = _check_player(i, params.n)
     terms = _revision_terms(params, i)
     disc, pulled = _revision(social_term(i, y, net), terms)

@@ -178,6 +178,16 @@ class TestExitCodes:
         assert message in err
         assert "np." not in err
 
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "0", "-1"])
+    def test_fixed_point_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        doc = '{"params": {"n": 4, "r": 2.0, "alpha": 0.3, "beta": 0.3}, "run": {"fixed_point_tol": %s}}'
+        path = tmp_path / "tol.json"
+        path.write_text(doc % tol)
+        assert cli_main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: run.fixed_point_tol must be ")
+
     def test_sweepless_config_refused_for_sweep(self, tmp_path):
         doc = {"params": {"n": 2, "r": 1.5, "alpha": 1 / 3, "beta": 1 / 3}}
         path = tmp_path / "nosweep.json"
@@ -212,6 +222,25 @@ class TestSimulate:
         out = tmp_path / "traj.csv"
         assert cli_main(["simulate", config_path, "--quiet", "--out", str(out)]) == 0
         assert out.read_text() == stdout_text
+
+    def test_stdout_is_written_in_slices(self, config_path, capsys, monkeypatch):
+        import coevo.io
+
+        assert cli_main(["simulate", config_path, "--quiet"]) == 0
+        text = capsys.readouterr().out
+        writes = []
+
+        class Recorder:
+            def write(self, chunk):
+                writes.append(chunk)
+                return len(chunk)
+
+        monkeypatch.setattr(coevo.io, "_WRITE_SLICE", 100)
+        monkeypatch.setattr("sys.stdout", Recorder())
+        assert cli_main(["simulate", config_path, "--quiet"]) == 0
+        assert len(text) > 300
+        assert max(map(len, writes)) <= 100
+        assert "".join(writes) == text
 
     def test_json_lines_format(self, config_path, capsys):
         assert cli_main(["simulate", config_path, "--quiet", "--format", "json-lines"]) == 0
@@ -351,6 +380,20 @@ class TestBestResponse:
             cli_main(["best-response", config_path, "--player", "1", "--opinions", "0,0,0,1.5"])
             == 1
         )
+
+    @pytest.mark.parametrize(
+        "opinions, message",
+        [
+            ("nan,0.5,0.5,0.5", "player 1: opinion must lie in [0, 1], got nan"),
+            ("0.5,1.5,0.5,0.5", "player 2: opinion must lie in [0, 1], got 1.5"),
+            ("0.5,0.5,-inf,0.5", "player 3: opinion must lie in [0, 1], got -inf"),
+        ],
+    )
+    def test_invalid_opinion_names_the_player(self, config_path, capsys, opinions, message):
+        assert cli_main(["best-response", config_path, "--player", "1", "--opinions", opinions]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --opinions: {message}\n"
 
     def test_missing_required_flags(self, config_path):
         assert cli_main(["best-response", config_path]) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevo.dynamics import is_fixed_point
+from coevo.dynamics import is_fixed_point, make_schedule, run, step
 from coevo.equilibria import (
     CONDITION_ALL_COOPERATION_EXISTS,
     CONDITION_ALL_DEFECTION_UNIQUE,
@@ -24,6 +24,8 @@ from coevo.model import (
     SystemState,
     best_response,
     discriminant,
+    opinion_payoff,
+    total_payoff,
 )
 from coevo.networks import complete_network, random_symmetric_network, ring_network
 from instances import (
@@ -591,3 +593,31 @@ def test_ring_enumeration_beyond_the_default_limit():
     for x in profiles:
         for shift in range(1, n):
             assert x[shift:] + x[:shift] in profiles
+
+
+_Y4 = np.full(4, 0.5)
+_STATE4 = SystemState(np.zeros(4), _Y4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, net: best_response(0, _Y4, p, net),
+        lambda p, net: discriminant(0, _Y4, p, net),
+        lambda p, net: opinion_payoff(0, _Y4, p, net),
+        lambda p, net: total_payoff(0, _STATE4, p, net),
+        lambda p, net: step(_STATE4, [0], p, net),
+        lambda p, net: run(_STATE4, make_schedule("round-robin", 4), p, net, max_steps=5),
+        lambda p, net: is_fixed_point(_STATE4, p, net),
+        lambda p, net: verify_nash(_STATE4, p, net),
+        lambda p, net: solve_opinion_equilibrium(np.zeros(4), p, net),
+        lambda p, net: enumerate_equilibria(p, net),
+    ],
+    ids=[
+        "best_response", "discriminant", "opinion_payoff", "total_payoff", "step", "run",
+        "is_fixed_point", "verify_nash", "solve_opinion_equilibrium", "enumerate_equilibria",
+    ],
+)
+def test_network_of_another_size_is_refused(params_r2, call):
+    with pytest.raises(ValueError, match="size mismatch: .*params 4, network 5"):
+        call(params_r2, complete_network(5))

@@ -414,6 +414,38 @@ def test_round_trip_is_bit_exact_in_both_formats(traj, tmp_path_factory):
             )
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_loader_rejects_exactly_the_rows_system_state_rejects(data, tmp_path_factory):
+    n = data.draw(st.integers(1, 3))
+    action = st.sampled_from(["0", "1", "2", "-1"])
+    opinion = st.sampled_from(["0", "0.5", "1", "1.5", "-0.25", "nan", "inf", "-inf"])
+    rows = data.draw(st.lists(
+        st.tuples(st.lists(action, min_size=n, max_size=n), st.lists(opinion, min_size=n, max_size=n)),
+        min_size=1,
+        max_size=4,
+    ))
+    ids = range(1, n + 1)
+    lines = [",".join(["t", "active", *(f"x_{i}" for i in ids), *(f"y_{i}" for i in ids), "potential"])]
+    lines += [",".join([str(t), "1" if t else "", *x, *y, ""]) for t, (x, y) in enumerate(rows)]
+    path = str(tmp_path_factory.mktemp("oracle") / "t.csv")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    expected = None
+    for t, (x, y) in enumerate(rows):
+        try:
+            SystemState(np.array([int(v) for v in x]), np.array([float(v) for v in y]))
+        except ValueError as exc:
+            expected = f"{path}:{t + 2}: {exc}"
+            break
+    if expected is None:
+        assert len(load_trajectory(path)) == len(rows)
+    else:
+        with pytest.raises(ValueError) as info:
+            load_trajectory(path)
+        assert str(info.value) == expected
+
+
 class TestJsonRendering:
     def test_render_json_is_canonical(self):
         assert render_json({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
