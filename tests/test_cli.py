@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import coevo.io
 from coevo.cli import cli_main
 
 
@@ -224,8 +225,6 @@ class TestSimulate:
         assert out.read_text() == stdout_text
 
     def test_stdout_is_written_in_slices(self, config_path, capsys, monkeypatch):
-        import coevo.io
-
         assert cli_main(["simulate", config_path, "--quiet"]) == 0
         text = capsys.readouterr().out
         writes = []
