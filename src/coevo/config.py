@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RevisionSchedule, make_schedule
+from .dynamics import RevisionSchedule, _check_tolerance, make_schedule
 from .model import ModelParams, Network, SystemState
 from . import networks
 
@@ -278,10 +278,10 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         fixed_point_tol = float(run_section.get("fixed_point_tol", 1e-10))
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("run.fixed_point_tol must be a number") from None
-    if not np.isfinite(fixed_point_tol):
-        raise ConfigError(f"run.fixed_point_tol must be finite, got {fixed_point_tol}")
-    if fixed_point_tol <= 0.0:
-        raise ConfigError(f"run.fixed_point_tol must be positive, got {fixed_point_tol}")
+    try:
+        _check_tolerance(fixed_point_tol, "run.fixed_point_tol")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     sweep_grid = None
     sweep_trials = 20

@@ -117,16 +117,6 @@ def _revise(y: np.ndarray, rows: np.ndarray, terms: RevisionTerms) -> tuple[np.n
     return s, _opinion(s, pulled, terms)
 
 
-def _apply(
-    y: np.ndarray,
-    active: np.ndarray,
-    params: ModelParams,
-    net: Network,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_revise`` for the ``active`` players (sorted, unique), prepared on each call."""
-    return _revise(y, net.W[active], _revision_terms(params, active))
-
-
 def step(
     state: SystemState,
     active,
@@ -149,7 +139,7 @@ def step(
         raise IndexError(
             f"active set {active.tolist()} out of range for n={params.n} (0-based)"
         )
-    s, y_raw = _apply(state.y, active, params, net)
+    s, y_raw = _revise(state.y, net.W[active], _revision_terms(params, active))
     x_new = np.array(state.x)
     y_new = np.array(state.y)
     x_new[active] = s
@@ -245,6 +235,12 @@ def _doubled(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_tolerance(tol, field: str = "fixed_point_tol") -> None:
+    """Refuse a NaN, infinite, zero or negative stopping tolerance."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{field} must be finite and positive, got {tol}")
+
+
 def run(
     initial: SystemState,
     schedule: RevisionSchedule,
@@ -272,6 +268,7 @@ def run(
     _check_sizes(params, net, initial)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_tolerance(fixed_point_tol)
     if schedule.n != params.n:
         raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
 
@@ -377,6 +374,7 @@ def potential(y, params: ModelParams, net: Network) -> float:
     network, with unique maximum 0 at y = 0. Requires all gamma zero and all
     beta positive.
     """
+    _check_sizes(params, net)
     fault = _potential_fault(params)
     if fault is not None:
         raise ValueError(fault)
@@ -411,6 +409,7 @@ def _potentials(Y: np.ndarray, active_sets, params: ModelParams, net: Network) -
 
 def potential_matrix(params: ModelParams, net: Network) -> np.ndarray:
     """The matrix M with potential_quadratic(y) = -1/2 y^T M y, for symmetric networks."""
+    _check_sizes(params, net)
     fault = _potential_fault(params)
     if fault is not None:
         raise ValueError(fault)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dynamics import (
     StateClass,
+    _check_tolerance,
     classify_state,
     make_schedule,
     run,
@@ -79,9 +80,8 @@ def _require_strict_interior(params: ModelParams, what: str) -> None:
 
 
 def _condition_sides(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    lhs = params.beta * params.lam / (params.beta + params.lam)
-    rhs = 2.0 * params.alpha * (1.0 - params.r / params.n)
-    return lhs, rhs
+    terms = _revision_terms(params)
+    return terms.coupling, -2.0 * terms.base
 
 
 def _condition_report(condition_id: str, lhs, rhs, holds: np.ndarray) -> ConditionReport:
@@ -399,6 +399,7 @@ def sweep(
         raise ValueError(f"grid is missing axes {sorted(missing)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tolerance(fixed_point_tol)
     if schedule_kind == "iid-random":
         warnings.warn(
             "the iid-random schedule does not guarantee that every player revises "

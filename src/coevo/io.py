@@ -51,32 +51,25 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def render_trajectory_csv(traj: Trajectory) -> str:
-    """CSV rows: t, active (semicolon-joined 1-based ids of the revision that
-    produced this row's state; empty at t=0), x_1..x_n, y_1..y_n, potential.
-
-    An empty trajectory renders as the header line alone. Consecutive rows
-    differ in few cells, so each row re-formats only the cells whose value
-    changed since the row before; opinions are compared by their bits, which
-    tells -0.0 from 0.0. The changed cells of all rows are found at once, one
-    ``np.nonzero`` for actions and one for opinions, and each row's share is
-    located with ``searchsorted``.
+def _row_cells(traj: Trajectory, opinion_text):
+    """Each row's cells in the CSV columns ``[t, active, x_1..x_n, y_1..y_n,
+    potential]``, as one list updated in place; the caller fills t, active and
+    potential. Only the actions and opinions whose bits changed since the row
+    before are re-formatted, with ``str`` and ``opinion_text``; bits tell -0.0
+    from 0.0. One ``np.nonzero`` per kind of cell finds the changes of all rows,
+    and ``searchsorted`` locates each row's share.
     """
-    X, Y, pots = traj.x, traj.y, traj.potentials
+    X, Y = traj.x, traj.y
     rows, n = X.shape
-    ids = range(1, n + 1)
-    header = ["t", "active", *(f"x_{i}" for i in ids), *(f"y_{i}" for i in ids), "potential"]
-    lines = [",".join(header)]
     if not rows:
-        return lines[0] + "\n"
-    y_bits = np.ascontiguousarray(Y).view(np.int64)
-    cells = ["0", "", *map(str, X[0].tolist()), *map(format_real, Y[0].tolist())]
-    cells.append("" if pots is None else format_real(pots[0]))
-    lines.append(",".join(cells))
+        return
+    cells = ["", "", *map(str, X[0].tolist()), *map(opinion_text, Y[0].tolist()), ""]
+    yield cells
     # per kind of cell: the column and value of every changed cell in row
     # order, and where each row's changes start
     changes = []
-    for values, bits, text, first_column in ((X, X, str, 2), (Y, y_bits, format_real, 2 + n)):
+    y_bits = np.ascontiguousarray(Y).view(np.int64)
+    for values, bits, text, first_column in ((X, X, str, 2), (Y, y_bits, opinion_text, 2 + n)):
         row, player = np.nonzero(bits[1:] != bits[:-1])
         changes.append((
             (player + first_column).tolist(),
@@ -85,11 +78,23 @@ def render_trajectory_csv(traj: Trajectory) -> str:
             np.searchsorted(row, np.arange(rows)),
         ))
     for t in range(1, rows):
-        cells[0] = str(t)
-        cells[1] = ";".join(str(i + 1) for i in traj.active_sets[t - 1])
         for cols, vals, text, starts in changes:
             for k in range(starts[t - 1], starts[t]):
                 cells[cols[k]] = text(vals[k])
+        yield cells
+
+
+def render_trajectory_csv(traj: Trajectory) -> str:
+    """CSV rows: t, active (semicolon-joined 1-based ids of the revision that
+    produced this row's state; empty at t=0), x_1..x_n, y_1..y_n, potential.
+    An empty trajectory renders as the header line alone."""
+    pots = traj.potentials
+    ids = range(1, traj.x.shape[1] + 1)
+    header = ["t", "active", *(f"x_{i}" for i in ids), *(f"y_{i}" for i in ids), "potential"]
+    lines = [",".join(header)]
+    for t, cells in enumerate(_row_cells(traj, format_real)):
+        cells[0] = str(t)
+        cells[1] = ";".join(str(i + 1) for i in traj.active_sets[t - 1]) if t else ""
         if pots is not None:
             cells[-1] = format_real(pots[t])
         lines.append(",".join(cells))
@@ -99,22 +104,21 @@ def render_trajectory_csv(traj: Trajectory) -> str:
 
 
 def render_trajectory_jsonl(traj: Trajectory) -> str:
-    """One JSON object per recorded state, same fields as the CSV columns."""
-    out = []
-    for t in range(len(traj)):
-        active = [] if t == 0 else [i + 1 for i in traj.active_sets[t - 1]]
-        obj = {
-            "t": t,
-            "active": active,
-            "x": traj.x[t].tolist(),
-            "y": traj.y[t].tolist(),
-            "potential": None if traj.potentials is None else float(traj.potentials[t]),
-        }
-        out.append(json.dumps(obj, sort_keys=True))
+    """One JSON object per recorded state, same fields as the CSV columns, as
+    ``json.dumps(row, sort_keys=True)`` prints it: every cell is printed by
+    ``json.dumps``, so NaN, Infinity and -0.0 read the same."""
+    pots = traj.potentials
+    n = traj.x.shape[1]
+    lines = []
+    for t, cells in enumerate(_row_cells(traj, json.dumps)):
+        active = ", ".join(str(i + 1) for i in traj.active_sets[t - 1]) if t else ""
+        pot = "null" if pots is None else json.dumps(float(pots[t]))
+        x, y = ", ".join(cells[2 : 2 + n]), ", ".join(cells[2 + n : -1])
+        lines.append(f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x}], "y": [{y}]}}')
     # the empty last entry ends the text with a newline in the one join; an
     # empty trajectory renders as a lone newline
-    out.append("")
-    return "\n".join(out) or "\n"
+    lines.append("")
+    return "\n".join(lines) or "\n"
 
 
 def format_entry(table: dict, kind: str, format: str):
@@ -228,9 +232,23 @@ def _jsonl_rows(path: str, lines):
                 raise TypeError("x and y must be lists")
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{where}: not a trajectory row ({type(exc).__name__}: {exc})") from None
-        _read_players(x, x, range(len(x)), int, where, "action")
-        _read_players(y, y, range(len(y)), float, where, "opinion")
+        _read_players(x, x, range(len(x)), _json_action, where, "action")
+        _read_players(y, y, range(len(y)), _json_opinion, where, "opinion")
         yield lineno, t, obj.get("active"), x, y, obj.get("potential")
+
+
+def _json_action(value) -> int:
+    """A JSON integer; a fraction such as 0.7 or 1.0, a bool or a string is refused."""
+    if type(value) is not int:
+        raise TypeError(value)
+    return value
+
+
+def _json_opinion(value) -> float:
+    """A JSON number; a bool or a string is refused."""
+    if type(value) not in (int, float):
+        raise TypeError(value)
+    return float(value)
 
 
 #: Trajectory file format name -> (render to text, rows). ``rows(path, lines)``

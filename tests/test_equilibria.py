@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevo.dynamics import is_fixed_point, make_schedule, run, step
+from coevo.dynamics import (
+    is_fixed_point,
+    make_schedule,
+    potential,
+    potential_matrix,
+    potential_matrix_is_positive_definite,
+    potential_quadratic,
+    run,
+    step,
+)
 from coevo.equilibria import (
     CONDITION_ALL_COOPERATION_EXISTS,
     CONDITION_ALL_DEFECTION_UNIQUE,
@@ -612,12 +621,36 @@ _STATE4 = SystemState(np.zeros(4), _Y4)
         lambda p, net: verify_nash(_STATE4, p, net),
         lambda p, net: solve_opinion_equilibrium(np.zeros(4), p, net),
         lambda p, net: enumerate_equilibria(p, net),
+        lambda p, net: potential(_Y4, p, net),
+        lambda p, net: potential_quadratic(_Y4, p, net),
+        lambda p, net: potential_matrix(p, net),
+        lambda p, net: potential_matrix_is_positive_definite(p, net),
     ],
     ids=[
         "best_response", "discriminant", "opinion_payoff", "total_payoff", "step", "run",
         "is_fixed_point", "verify_nash", "solve_opinion_equilibrium", "enumerate_equilibria",
+        "potential", "potential_quadratic", "potential_matrix",
+        "potential_matrix_is_positive_definite",
     ],
 )
 def test_network_of_another_size_is_refused(params_r2, call):
     with pytest.raises(ValueError, match="size mismatch: .*params 4, network 5"):
         call(params_r2, complete_network(5))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, net, tol: run(
+            _STATE4, make_schedule("round-robin", 4), p, net, max_steps=5, fixed_point_tol=tol
+        ),
+        lambda p, net, tol: sweep(
+            {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3]}, net, trials=1, fixed_point_tol=tol
+        ),
+    ],
+    ids=["run", "sweep"],
+)
+def test_fixed_point_tol_must_be_finite_and_positive(params_r2, complete4, call, tol):
+    with pytest.raises(ValueError, match=f"^fixed_point_tol must be finite and positive, got {tol}$"):
+        call(params_r2, complete4, tol)

@@ -337,6 +337,12 @@ class TestTrajectoryFiles:
             ('{"t": 1, "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read active ids None"),
             ('{"t": 1, "active": [1], "x": [1], "y": ["u"]}', r"bad\.jsonl:2: player 1: cannot read opinion 'u'"),
             ('{"t": 1, "active": [1], "x": [Infinity], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action inf"),
+            ('{"t": 1, "active": [1], "x": [0.7], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action 0\.7$"),
+            ('{"t": 1, "active": [1], "x": [1.0], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action 1\.0$"),
+            ('{"t": 1, "active": [1], "x": [true], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action True$"),
+            ('{"t": 1, "active": [1], "x": ["1"], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action '1'$"),
+            ('{"t": 1, "active": [1], "x": [1], "y": ["0.5"]}', r"bad\.jsonl:2: player 1: cannot read opinion '0\.5'$"),
+            ('{"t": 1, "active": [1], "x": [1], "y": [false]}', r"bad\.jsonl:2: player 1: cannot read opinion False$"),
         ],
     )
     def test_malformed_jsonl_row_names_line(self, tmp_path, row, message):
@@ -412,6 +418,39 @@ def test_round_trip_is_bit_exact_in_both_formats(traj, tmp_path_factory):
             np.testing.assert_array_equal(
                 back.potentials.view(np.int64), traj.potentials.view(np.int64)
             )
+
+
+def _jsonl_by_row(traj: Trajectory) -> str:
+    """The reference JSON-lines renderer: each row's values through one ``json.dumps``."""
+    out = []
+    for t in range(len(traj)):
+        obj = {
+            "t": t,
+            "active": [] if t == 0 else [i + 1 for i in traj.active_sets[t - 1]],
+            "x": traj.x[t].tolist(),
+            "y": traj.y[t].tolist(),
+            "potential": None if traj.potentials is None else float(traj.potentials[t]),
+        }
+        out.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(out) or "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(traj=awkward_trajectories(), data=st.data())
+def test_jsonl_renders_as_json_dumps_per_row(traj, data):
+    # keep the first 0, 1 or more rows, and give them potentials that JSON
+    # spells its own way, or none
+    rows = data.draw(st.sampled_from([0, 1, len(traj)]))
+    potential = st.sampled_from(AWKWARD_OPINIONS + (-1 / 7, math.nan, math.inf, -math.inf))
+    pots = data.draw(st.none() | st.lists(potential, min_size=rows, max_size=rows))
+    traj = Trajectory(
+        x=traj.x[:rows],
+        y=traj.y[:rows],
+        active_sets=traj.active_sets[: max(rows - 1, 0)],
+        potentials=pots,
+        stop_reason="max_steps",
+    )
+    assert render_trajectory_jsonl(traj) == _jsonl_by_row(traj)
 
 
 @settings(max_examples=200, deadline=None)
