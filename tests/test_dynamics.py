@@ -235,7 +235,9 @@ class TestRun:
         assert float(traj.final.y.max()) <= 1.0
         # the third round-robin revision is player 3's, poisoned by +5
         monkeypatch.undo()
-        _, y_raw = dynamics_module._revise(traj.final.y, complete4.W[[2]], dynamics_module._revision_terms(params_r2, [2]))
+        _, y_raw = dynamics_module._revise(
+            traj.final.y, complete4.W[[2]], dynamics_module._revision_terms(params_r2, [2])
+        )
         assert traj.stop_detail == f"player 3: raw opinion {float(y_raw[0]) + 5.0!r}"
 
     @pytest.mark.parametrize("kind", ["round-robin", "iid-random"])
