@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,15 +35,6 @@ from . import networks
 
 class ConfigError(ValueError):
     """A configuration file failed to parse or violated a model invariant."""
-
-
-#: Network type -> the keys besides "type" that it reads.
-_NETWORK_KEYS = {
-    "complete": (), "ring": (), "grid": ("rows", "cols"),
-    "random": ("edge_probability", "seed", "require_irreducible"),
-    "random-symmetric": ("edge_probability", "seed"),
-    "inline": ("matrix", "normalise"), "file": ("path", "format", "normalise"),
-}
 
 
 @dataclass(frozen=True)
@@ -58,135 +51,148 @@ class ExperimentConfig:
     sweep_trials: int
 
 
-def _numbers(values, name: str) -> list[float]:
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a list of numbers") from None
+#: The default of a key that must be given.
+_REQUIRED = object()
 
 
-def _at_least(value: int, minimum: int, field: str) -> int:
-    if value < minimum:
-        raise ConfigError(f"{field} must be >= {minimum}, got {value}")
-    return value
+def _is_number(value) -> bool:
+    """A JSON number that fits a float; a bool or a string is not one."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _whole(value, field: str) -> int:
-    """``int(value)``, refusing a fraction such as 2.5 instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _is_integer(value) -> bool:
+    return _is_number(value) and float(value).is_integer()
 
 
-def _integer(section: dict, key: str, default, where: str, minimum: int) -> int:
-    raw = section.get(key, default)
-    try:
-        value = _whole(raw, f"{where}.{key}")
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key} must be an integer, got {raw!r}") from None
-    return _at_least(value, minimum, f"{where}.{key}")
+def _numbers(values, name: str, n: int | None = None) -> list[float]:
+    """A JSON list of numbers as floats; ``n``, if given, is its required length."""
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise ConfigError(f"{name} must be a list of numbers")
+    if n is not None and len(values) != n:
+        raise ConfigError(f"{name} must have {n} entries, got {len(values)}")
+    return [float(v) for v in values]
 
 
-def _known_keys(section: dict, keys, prefix: str) -> None:
-    """Reject a key that nothing reads, which would otherwise fall back silently."""
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown key {prefix}{unknown[0]}; use {', '.join(sorted(keys))}")
+class _Section:
+    """One JSON object of the config, read key by key.
+
+    Every read records its key, so the keys a section accepts are the ones
+    its code asks for: ``done`` refuses the rest. The typed reads decide how
+    a JSON value becomes a number, an integer or a flag.
+    """
+
+    def __init__(self, raw, where: str):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where} must be an object")
+        self.raw, self.prefix, self.asked = raw, f"{where}." if where else "", set()
+
+    def get(self, key: str, default=_REQUIRED):
+        self.asked.add(key)
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.prefix}{key} is required")
+        return default
+
+    def _typed(self, key: str, default, is_type, type_name: str):
+        value = self.get(key, default)
+        if not is_type(value):
+            raise ConfigError(f"{self.prefix}{key} must be {type_name}, got {value!r}")
+        return value
+
+    def number(self, key: str, default=_REQUIRED) -> float:
+        return float(self._typed(key, default, _is_number, "a number"))
+
+    def integer(self, key: str, default, minimum: int) -> int:
+        """A JSON integer or an integral float such as 4.0; 2.5 is refused, not truncated."""
+        value = int(self._typed(key, default, _is_integer, "an integer"))
+        if value < minimum:
+            raise ConfigError(f"{self.prefix}{key} must be >= {minimum}, got {value}")
+        return value
+
+    def flag(self, key: str, default: bool) -> bool:
+        return self._typed(key, default, lambda value: type(value) is bool, "true or false")
+
+    def done(self) -> None:
+        """Refuse a key that nothing read, which would otherwise fall back silently."""
+        unknown = sorted(set(self.raw) - self.asked)
+        if unknown:
+            known = ", ".join(sorted(self.asked))
+            raise ConfigError(f"unknown key {self.prefix}{unknown[0]}; use {known}")
 
 
-def _vector(section: dict, key: str, n: int, default=None, alias: str | None = None):
-    present = key in section or (alias is not None and alias in section)
-    if not present:
-        if default is None:
-            raise ConfigError(f"params.{key} is required")
-        value = default
-    else:
-        value = section[key] if key in section else section[alias]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _vector(section: _Section, key: str, n: int, default=_REQUIRED, alias: str | None = None):
+    """A per-player weight: one number for every player or a list of n numbers."""
+    if alias in section.raw and key not in section.raw:
+        key = alias
+    value = section.get(key, default)
+    if isinstance(value, np.ndarray):  # the caller's default
+        return value
+    if _is_number(value):
         return np.full(n, float(value))
     if isinstance(value, list):
-        if len(value) != n:
-            raise ConfigError(f"params.{key} must have {n} entries, got {len(value)}")
-        return np.array(_numbers(value, f"params.{key}"))
+        return np.array(_numbers(value, f"params.{key}", n))
     raise ConfigError(f"params.{key} must be a number or a list of {n} numbers")
 
 
-def _build_params(section) -> ModelParams:
-    if not isinstance(section, dict):
-        raise ConfigError("params must be an object")
-    keys = ("n", "r", "alpha", "beta", "lambda", "lam", "gamma", "prejudice", "u")
-    _known_keys(section, keys, "params.")
-    for key in ("n", "r"):
-        if key not in section:
-            raise ConfigError(f"params.{key} is required")
-    n = _integer(section, "n", None, "params", 2)
-    try:
-        r = float(section["r"])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("params.r must be a number") from None
+def _build_params(raw) -> ModelParams:
+    section = _Section(raw, "params")
+    n = section.integer("n", _REQUIRED, 2)
+    r = section.number("r")
     alpha = _vector(section, "alpha", n)
     beta = _vector(section, "beta", n)
-    if "lambda" in section or "lam" in section:
-        lam = _vector(section, "lambda", n, alias="lam")
-    else:
-        lam = 1.0 - alpha - beta
-    gamma = _vector(section, "gamma", n, default=0.0)
-    prejudice = _vector(section, "prejudice", n, default=0.5, alias="u")
+    lam = _vector(section, "lambda", n, 1.0 - alpha - beta, alias="lam")
+    gamma = _vector(section, "gamma", n, np.zeros(n))
+    prejudice = _vector(section, "prejudice", n, np.full(n, 0.5), alias="u")
+    section.done()
     try:
-        return ModelParams(
-            n=n, r=r, alpha=alpha, beta=beta, lam=lam, gamma=gamma, prejudice=prejudice
-        )
+        return ModelParams(n=n, r=r, alpha=alpha, beta=beta, lam=lam, gamma=gamma, prejudice=prejudice)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
 
 
-def _build_network(section, n: int, base_dir: str) -> Network:
-    if not isinstance(section, dict) or "type" not in section:
-        raise ConfigError('network must be an object with a "type" field')
-    kind = section["type"]
-    if not isinstance(kind, str) or kind not in _NETWORK_KEYS:
-        *kinds, last = _NETWORK_KEYS
-        raise ConfigError(f"unknown network type {kind!r}; use {', '.join(kinds)}, or {last}")
-    _known_keys(section, ("type", *_NETWORK_KEYS[kind]), "network.")
+def _build_network(raw, n: int, base_dir: str) -> Network:
+    section = _Section(raw, "network")
+    kind = section.get("type")
     try:
         if kind == "complete":
-            return networks.complete_network(n)
-        if kind == "ring":
-            return networks.ring_network(n)
-        if kind == "grid":
-            rows = _whole(section.get("rows", 0), "network.rows")
-            cols = _whole(section.get("cols", 0), "network.cols")
+            build = partial(networks.complete_network, n)
+        elif kind == "ring":
+            build = partial(networks.ring_network, n)
+        elif kind == "grid":
+            rows, cols = (section.integer(key, _REQUIRED, 1) for key in ("rows", "cols"))
             if rows * cols != n:
                 raise ConfigError(
-                    f"grid network is {rows}x{cols} = {rows * cols} nodes "
-                    f"but params.n = {n}"
+                    f"grid network is {rows}x{cols} = {rows * cols} nodes but params.n = {n}"
                 )
-            return networks.grid_network(rows, cols)
-        if kind in ("random", "random-symmetric"):
-            p = float(section.get("edge_probability", 0.5))
-            seed = _at_least(_whole(section.get("seed", 0), "network.seed"), 0, "network.seed")
-            if kind == "random-symmetric":
-                return networks.random_symmetric_network(n, p, seed)
-            irreducible = bool(section.get("require_irreducible", True))
-            return networks.random_network(n, p, seed, require_irreducible=irreducible)
-        if kind == "inline":
-            if "matrix" not in section:
-                raise ConfigError("inline network needs a matrix field")
-            net = Network.from_matrix(
-                np.array(section["matrix"], dtype=float),
-                normalise=bool(section.get("normalise", False)),
+            build = partial(networks.grid_network, rows, cols)
+        elif kind in ("random", "random-symmetric"):
+            p, seed = section.number("edge_probability", 0.5), section.integer("seed", 0, 0)
+            if kind == "random":
+                irreducible = section.flag("require_irreducible", True)
+                build = partial(networks.random_network, n, p, seed, require_irreducible=irreducible)
+            else:
+                build = partial(networks.random_symmetric_network, n, p, seed)
+        elif kind == "inline":
+            matrix = section.get("matrix")
+            if not isinstance(matrix, list):
+                raise ConfigError("network.matrix must be a list of rows")
+            W = np.array([_numbers(row, "network.matrix rows") for row in matrix])
+            build = partial(Network.from_matrix, W, normalise=section.flag("normalise", False))
+        elif kind == "file":
+            # an absolute path replaces base_dir
+            path = os.path.join(base_dir, section.get("path"))
+            build = partial(
+                networks.load_network, path, format=section.get("format", "edge-list"),
+                normalise=section.flag("normalise", False),
             )
         else:
-            if "path" not in section:
-                raise ConfigError("file network needs a path field")
-            path = section["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            net = networks.load_network(
-                path,
-                format=section.get("format", "edge-list"),
-                normalise=bool(section.get("normalise", False)),
+            raise ConfigError(
+                f"unknown network type {kind!r}; use complete, ring, grid, random, "
+                f"random-symmetric, inline, or file"
             )
+        section.done()
+        net = build()
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -196,50 +202,52 @@ def _build_network(section, n: int, base_dir: str) -> Network:
     return net
 
 
-def _build_schedule(section, n: int, seed_override: int | None) -> RevisionSchedule:
-    section = section if section is not None else {}
-    if not isinstance(section, dict):
-        raise ConfigError("schedule must be an object")
-    _known_keys(section, ("kind", "seed"), "schedule.")
-    seed = _integer(section, "seed", 0, "schedule", 0) if seed_override is None else seed_override
+def _build_schedule(raw, n: int, seed_override: int | None) -> RevisionSchedule:
+    section = _Section({} if raw is None else raw, "schedule")
+    # read even when overridden, so a bad seed is refused either way
+    seed = section.integer("seed", 0, 0)
+    kind = section.get("kind", "round-robin")
+    section.done()
     try:
-        return make_schedule(section.get("kind", "round-robin"), n, seed=seed)
+        return make_schedule(kind, n, seed=seed if seed_override is None else seed_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _build_initial(section, n: int, seed_override: int | None) -> SystemState:
-    if section is None:
-        section = "all-defect-consensus"
-    if isinstance(section, str):
-        if section == "all-defect-consensus":
+def _build_initial(raw, n: int, seed_override: int | None) -> SystemState:
+    if raw is None:
+        raw = "all-defect-consensus"
+    if isinstance(raw, str):
+        if raw == "all-defect-consensus":
             return SystemState.all_defection(n)
-        if section == "all-coop-consensus":
+        if raw == "all-coop-consensus":
             return SystemState.all_cooperation(n)
         raise ConfigError(
-            f"unknown initial_state preset {section!r}; use all-defect-consensus, "
+            f"unknown initial_state preset {raw!r}; use all-defect-consensus, "
             f"all-coop-consensus, or an object"
         )
-    if not isinstance(section, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("initial_state must be a preset name or an object")
-    _known_keys(section, ("preset", "seed", "x", "y"), "initial_state.")
-    if section.get("preset") == "random":
-        seed = _integer(section, "seed", 0, "initial_state", 0) if seed_override is None else seed_override
-        rng = np.random.default_rng(seed)
+    section = _Section(raw, "initial_state")
+    preset = section.get("preset", None)
+    if preset == "random":
+        seed = section.integer("seed", 0, 0)
+        section.done()
+        rng = np.random.default_rng(seed if seed_override is None else seed_override)
         return SystemState(rng.integers(0, 2, size=n).astype(np.int64), rng.random(n))
-    if "x" in section and "y" in section:
-        try:
-            # read as floats so SystemState refuses a fractional action
-            return SystemState(
-                np.array(section["x"], dtype=float),
-                np.array(section["y"], dtype=float),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"initial_state: {exc}") from None
-    raise ConfigError(
-        'initial_state object needs either {"preset": "random", "seed": k} '
-        'or explicit "x" and "y" vectors'
-    )
+    x, y = section.get("x", None), section.get("y", None)
+    if preset is not None or x is None or y is None:
+        raise ConfigError(
+            'initial_state object needs either {"preset": "random", "seed": k} '
+            'or explicit "x" and "y" vectors'
+        )
+    # read as floats so SystemState refuses a fractional action
+    x, y = np.array(_numbers(x, "initial_state.x", n)), np.array(_numbers(y, "initial_state.y", n))
+    section.done()
+    try:
+        return SystemState(x, y)
+    except ValueError as exc:
+        raise ConfigError(f"initial_state: {exc}") from None
 
 
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -259,51 +267,39 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         raise ConfigError(f"{path}: top level must be a JSON object")
     if "params" not in raw:
         raise ConfigError(f"{path}: missing params section")
-    _known_keys(raw, ("params", "network", "schedule", "initial_state", "run", "sweep"), "")
-    if seed_override is not None:
-        _at_least(seed_override, 0, "--seed")
+    doc = _Section(raw, "")
+    params_raw, network_raw = doc.get("params"), doc.get("network", {"type": "complete"})
+    schedule_raw, initial_raw = doc.get("schedule", None), doc.get("initial_state", None)
+    run = _Section(doc.get("run", {}), "run")
+    sweep = _Section(doc.get("sweep"), "sweep") if "sweep" in raw else None
+    doc.done()
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed_override}")
 
-    params = _build_params(raw["params"])
+    params = _build_params(params_raw)
     base_dir = os.path.dirname(os.path.abspath(path))
-    network = _build_network(raw.get("network", {"type": "complete"}), params.n, base_dir)
-    schedule = _build_schedule(raw.get("schedule"), params.n, seed_override)
-    initial = _build_initial(raw.get("initial_state"), params.n, seed_override)
+    network = _build_network(network_raw, params.n, base_dir)
+    schedule = _build_schedule(schedule_raw, params.n, seed_override)
+    initial = _build_initial(initial_raw, params.n, seed_override)
 
-    run_section = raw.get("run", {})
-    if not isinstance(run_section, dict):
-        raise ConfigError("run must be an object")
-    _known_keys(run_section, ("max_steps", "fixed_point_tol"), "run.")
-    max_steps = _integer(run_section, "max_steps", 1_000_000, "run", 1)
-    try:
-        fixed_point_tol = float(run_section.get("fixed_point_tol", 1e-10))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("run.fixed_point_tol must be a number") from None
+    max_steps = run.integer("max_steps", 1_000_000, 1)
+    fixed_point_tol = run.number("fixed_point_tol", 1e-10)
+    run.done()
     try:
         _check_tolerance(fixed_point_tol, "run.fixed_point_tol")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    sweep_grid = None
-    sweep_trials = 20
-    if "sweep" in raw:
-        sweep_section = raw["sweep"]
-        if not isinstance(sweep_section, dict):
-            raise ConfigError("sweep must be an object")
+    sweep_grid, sweep_trials = None, 20
+    if sweep is not None:
         # every axis but trials goes through, so sweep() rejects unknown ones
         sweep_grid = {
-            axis: _numbers(values, f"sweep.{axis}")
-            for axis, values in sweep_section.items()
-            if axis != "trials"
+            axis: _numbers(sweep.get(axis), f"sweep.{axis}") for axis in sweep.raw if axis != "trials"
         }
-        sweep_trials = _integer(sweep_section, "trials", 20, "sweep", 1)
+        sweep_trials = sweep.integer("trials", 20, 1)
 
     return ExperimentConfig(
-        params=params,
-        network=network,
-        schedule=schedule,
-        initial_state=initial,
-        max_steps=max_steps,
-        fixed_point_tol=fixed_point_tol,
-        sweep_grid=sweep_grid,
-        sweep_trials=sweep_trials,
+        params=params, network=network, schedule=schedule, initial_state=initial,
+        max_steps=max_steps, fixed_point_tol=fixed_point_tol,
+        sweep_grid=sweep_grid, sweep_trials=sweep_trials,
     )

@@ -232,19 +232,22 @@ def _jsonl_rows(path: str, lines):
                 raise TypeError("x and y must be lists")
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{where}: not a trajectory row ({type(exc).__name__}: {exc})") from None
-        _read_players(x, x, range(len(x)), _json_action, where, "action")
-        _read_players(y, y, range(len(y)), _json_opinion, where, "opinion")
-        yield lineno, t, obj.get("active"), x, y, obj.get("potential")
+        _read_players(x, x, range(len(x)), _json_integer, where, "action")
+        _read_players(y, y, range(len(y)), _json_number, where, "opinion")
+        t, active = _read(_json_integer, t, where, "time index"), obj.get("active")
+        if active is not None:
+            _read(lambda ids: [_json_integer(i) for i in ids], active, where, "active ids")
+        yield lineno, t, active, x, y, obj.get("potential")
 
 
-def _json_action(value) -> int:
+def _json_integer(value) -> int:
     """A JSON integer; a fraction such as 0.7 or 1.0, a bool or a string is refused."""
     if type(value) is not int:
         raise TypeError(value)
     return value
 
 
-def _json_opinion(value) -> float:
+def _json_number(value) -> float:
     """A JSON number; a bool or a string is refused."""
     if type(value) not in (int, float):
         raise TypeError(value)

@@ -10,6 +10,8 @@ File formats:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .io import atomic_write, format_entry, format_real
@@ -135,6 +137,13 @@ def save_network(net: Network, path: str, format: str = "dense-csv") -> None:
     atomic_write(path, format_entry(NETWORK_FORMATS, "network", format)[1](net))
 
 
+def _weight(text: str) -> float:
+    w = float(text)
+    if not math.isfinite(w):
+        raise ValueError(f"non-finite weight {w}")
+    return w
+
+
 def _load_edge_list(path: str, normalise: bool) -> Network:
     entries: list[tuple[int, int, float]] = []
     max_id = 0
@@ -150,7 +159,7 @@ def _load_edge_list(path: str, normalise: bool) -> Network:
                 )
             try:
                 i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2])
+                w = _weight(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if i < 1 or j < 1:
@@ -176,7 +185,7 @@ def _load_dense_csv(path: str, normalise: bool) -> Network:
             if not line or line.startswith("#"):
                 continue
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                rows.append([_weight(cell) for cell in line.split(",")])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             linenos.append(lineno)

@@ -74,6 +74,18 @@ class TestExitCodes:
             ("schedule", {"seed": 2.5}),
             ("network", {"type": "grid", "rows": 2.5, "cols": 2}),
             ("initial_state", {"preset": "random", "seed": 2.5}),
+            ("params", {"n": 4, "r": "2.0", "alpha": 1 / 3, "beta": 1 / 3}),
+            ("params", {"n": 4, "r": 2.0, "alpha": ["0.25"] * 4, "beta": 0.25}),
+            ("run", {"max_steps": True}),
+            ("run", {"fixed_point_tol": "1e-10"}),
+            ("schedule", {"seed": True}),
+            ("network", {"type": "random", "edge_probability": True}),
+            ("network", {"type": "random", "require_irreducible": "no"}),
+            ("network", {"type": "inline", "matrix": [[0, 2, 2, 2]] * 4, "normalise": "false"}),
+            ("sweep", {"r": ["2.5", True], "alpha": [1 / 3], "beta": [1 / 3]}),
+            ("initial_state", {"x": [True, False, True, False], "y": [0.5] * 4}),
+            ("initial_state", {"x": [1, 0, 1], "y": [0.5] * 3}),
+            ("initial_state", {"x": [1, 0, 1, 0], "y": [0.5] * 4, "seed": 3}),
         ],
     )
     def test_malformed_config_value_is_exit_1(self, tmp_path, capsys, section, value):

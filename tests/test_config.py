@@ -245,7 +245,7 @@ class TestRejections:
             ("schedule", {"seed": float("inf")}, "schedule.seed"),
             ("run", {"max_steps": float("inf")}, "run.max_steps"),
             ("initial_state", {"preset": "random", "seed": {}}, "initial_state.seed"),
-            ("network", {"type": "random", "seed": [3]}, "network:"),
+            ("network", {"type": "random", "seed": [3]}, "network.seed must be an integer"),
             # a fraction is refused, not truncated
             ("params", {"n": 4.9, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}, "params.n must be an integer, got 4.9"),
             ("run", {"max_steps": 2.9}, "run.max_steps must be an integer, got 2.9"),
@@ -257,6 +257,26 @@ class TestRejections:
             ("network", {"type": "random-symmetric", "seed": 0.5}, "network.seed must be an integer, got 0.5"),
             ("initial_state", {"preset": "random", "seed": 2.5}, "initial_state.seed must be an integer, got 2.5"),
             ("initial_state", {"x": [0.7, 1, 1, 1], "y": [0.5] * 4}, "initial_state: player 1: action must be 0 or 1, got 0.7"),
+            # a value of the wrong JSON type is refused, not converted
+            ("params", {"n": 4, "r": "2.0", "alpha": 1 / 3, "beta": 1 / 3}, "params.r must be a number, got '2.0'"),
+            ("params", {"n": 4, "r": 2.0, "alpha": ["0.25"] * 4, "beta": 0.25}, "params.alpha must be a list of numbers"),
+            ("run", {"max_steps": True}, "run.max_steps must be an integer, got True"),
+            ("run", {"fixed_point_tol": "1e-10"}, "run.fixed_point_tol must be a number, got '1e-10'"),
+            ("schedule", {"seed": True}, "schedule.seed must be an integer, got True"),
+            ("network", {"type": "random", "edge_probability": True}, "network.edge_probability must be a number, got True"),
+            ("network", {"type": "random", "require_irreducible": "no"}, "network.require_irreducible must be true or false, got 'no'"),
+            ("network", {"type": "inline", "matrix": [[0, 2, 2, 2]] * 4, "normalise": "false"}, "network.normalise must be true or false, got 'false'"),
+            ("sweep", {"r": ["2.5", True], "alpha": [1 / 3], "beta": [1 / 3]}, "sweep.r must be a list of numbers"),
+            ("initial_state", {"x": [True, False, True, False], "y": [0.5] * 4}, "initial_state.x must be a list of numbers"),
+            ("initial_state", {"x": [1, 0, 1], "y": [0.5] * 3}, "initial_state.x must have 4 entries, got 3"),
+            ("initial_state", {"x": [1, 0, 1, 0], "y": [0.5] * 4, "seed": 3}, "unknown key initial_state.seed; use preset, x, y"),
+            # a key that the chosen branch does not read is refused
+            ("params", {"n": 4, "r": 2.0, "alpha": 0.25, "beta": 0.25, "lambda": 0.5, "lam": 0.5}, "unknown key params.lam"),
+            ("initial_state", {"preset": "random", "x": [1, 0, 1, 0]}, "unknown key initial_state.x; use preset, seed"),
+            ("network", {"type": "inline"}, "network.matrix is required"),
+            ("network", {"type": "file"}, "network.path is required"),
+            ("network", {"type": "grid", "cols": 2}, "network.rows is required"),
+            ("network", {"seed": 1}, "network.type is required"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, section, value, field):

@@ -286,6 +286,24 @@ class TestRun:
         swapped = SystemState(np.array([0, 1]), np.array([0.0, 1.0]))
         assert traj.final == (initial if max_steps % 2 == 0 else swapped)
 
+    def test_recorded_rows_survive_buffer_growth(self):
+        # 3001 rows outgrow the 1024-row first buffer twice
+        net = Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        params = ModelParams.uniform(2, 1.9, 0.01, 0.495)
+        initial = SystemState(np.array([1, 0]), np.array([1.0, 0.0]))
+        schedule = make_schedule("synchronous", 2)
+        traj = run(initial, schedule, params, net, max_steps=3000)
+        assert traj.stop_reason == "max_steps"
+        assert traj.x.shape == traj.y.shape == (3001, 2)
+        assert len(traj.active_sets) == 3000
+        even = np.arange(3001) % 2 == 0
+        np.testing.assert_array_equal(traj.x[even], [[1, 0]] * 1501)
+        np.testing.assert_array_equal(traj.x[~even], [[0, 1]] * 1500)
+        np.testing.assert_array_equal(traj.y[even], [[1.0, 0.0]] * 1501)
+        np.testing.assert_array_equal(traj.y[~even], [[0.0, 1.0]] * 1500)
+        final = run(initial, schedule, params, net, max_steps=3000, record=False).final
+        assert traj.final == final
+
     def test_opinions_stay_bounded(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 7))

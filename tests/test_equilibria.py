@@ -18,6 +18,7 @@ from coevo.dynamics import (
 from coevo.equilibria import (
     CONDITION_ALL_COOPERATION_EXISTS,
     CONDITION_ALL_DEFECTION_UNIQUE,
+    ENUMERATION_MAX_N,
     NashCheck,
     check_all_cooperation_exists,
     check_all_defection_unique,
@@ -385,6 +386,23 @@ class TestSweep:
                 trials=2,
                 seed=0,
             )
+
+    def test_large_network_skips_enumeration_and_boundary_cells(self):
+        # n = 17 is past ENUMERATION_MAX_N, and alpha + beta = 1 leaves lam = 0
+        table = sweep(
+            {"r": [2.0], "alpha": [0.5], "beta": [0.5, 0.3]},
+            ring_network(ENUMERATION_MAX_N + 1),
+            trials=2,
+            seed=0,
+            max_steps=50,
+        )
+        assert table.invalid_cells == (
+            ({"r": 2.0, "alpha": 0.5, "beta": 0.5}, "weights must lie strictly inside (0, 1) for analysis"),
+        )
+        (cell,) = table.cells
+        assert (cell.alpha, cell.beta) == (0.5, 0.3)
+        assert cell.equilibrium_count is None and cell.boundary_count is None
+        assert cell.trials == 2
 
     def test_missing_grid_axis_rejected(self, complete4):
         with pytest.raises(ValueError, match="grid"):

@@ -343,6 +343,11 @@ class TestTrajectoryFiles:
             ('{"t": 1, "active": [1], "x": ["1"], "y": [0.5]}', r"bad\.jsonl:2: player 1: cannot read action '1'$"),
             ('{"t": 1, "active": [1], "x": [1], "y": ["0.5"]}', r"bad\.jsonl:2: player 1: cannot read opinion '0\.5'$"),
             ('{"t": 1, "active": [1], "x": [1], "y": [false]}', r"bad\.jsonl:2: player 1: cannot read opinion False$"),
+            # the time index and active ids are JSON integers, not truncated
+            ('{"t": 1.5, "active": [1], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read time index 1\.5$"),
+            ('{"t": true, "active": [1], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read time index True$"),
+            ('{"t": 1, "active": [1.7], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read active ids \[1\.7\]$"),
+            ('{"t": 1, "active": [true], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read active ids \[True\]$"),
         ],
     )
     def test_malformed_jsonl_row_names_line(self, tmp_path, row, message):

@@ -96,6 +96,13 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match=r"net\.edges:2"):
             load_network(str(p))
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_its_line(self, tmp_path, weight):
+        p = tmp_path / "net.edges"
+        p.write_text(f"1 2 1.0\n2 1 {weight}\n")
+        with pytest.raises(ValueError, match=rf"net\.edges:2: non-finite weight {weight}$"):
+            load_network(str(p))
+
     def test_negative_weight_rejected(self, tmp_path):
         p = tmp_path / "net.edges"
         p.write_text("1 2 -1.0\n2 1 1.0\n")
@@ -154,6 +161,8 @@ class TestDenseCsvFormat:
             ("0.5,0.5\n1.0\n", r"net\.csv:2: row has 1 entries, expected 2"),
             ("# weights\n0,1\n\n1,0\n0.5,0.5\n", r"net\.csv:2: row has 2 entries, expected 3"),
             ("0,1\n1,0,0\n", r"net\.csv:2: row has 3 entries, expected 2"),
+            ("0,1\n1,nan\n", r"net\.csv:2: non-finite weight nan"),
+            ("# weights\n0,inf\n1,0\n", r"net\.csv:2: non-finite weight inf"),
         ],
     )
     def test_ragged_row_names_its_line(self, tmp_path, text, where):
