@@ -113,6 +113,9 @@ class _Section:
     def flag(self, key: str, default: bool) -> bool:
         return self._typed(key, default, lambda value: type(value) is bool, "true or false")
 
+    def text(self, key: str, default=_REQUIRED) -> str:
+        return self._typed(key, default, lambda value: type(value) is str, "a string")
+
     def done(self) -> None:
         """Refuse a key that nothing read, which would otherwise fall back silently."""
         unknown = sorted(set(self.raw) - self.asked)
@@ -181,9 +184,9 @@ def _build_network(raw, n: int, base_dir: str) -> Network:
             build = partial(Network.from_matrix, W, normalise=section.flag("normalise", False))
         elif kind == "file":
             # an absolute path replaces base_dir
-            path = os.path.join(base_dir, section.get("path"))
+            path = os.path.join(base_dir, section.text("path"))
             build = partial(
-                networks.load_network, path, format=section.get("format", "edge-list"),
+                networks.load_network, path, format=section.text("format", "edge-list"),
                 normalise=section.flag("normalise", False),
             )
         else:

@@ -49,22 +49,35 @@ _DIVERGENCE_BAND = 1e-6
 class RevisionSchedule:
     """A reproducible generator of active player sets, one set per time step.
 
-    ``T`` is the coverage window: every player activates at least once in any
-    ``T`` consecutive steps. It is None for iid-random, which offers no such
-    guarantee; convergence analyses must warn when handed such a schedule.
+    Every set is one player ``(i,)`` or everyone ``(0, ..., n-1)``: a sorted,
+    contiguous run of 0-based indices, which ``run`` reads as one slice.
     ``seed`` drives the stochastic kinds; the deterministic kinds keep it so
     that callers can read back the seed a schedule was built with.
     """
 
     kind: str
     n: int
-    seed: int
-    T: int | None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"schedules need n >= 2, got {self.n}")
+        # a tuple test, not a dict lookup, so an unhashable kind is refused as unknown
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind {self.kind!r}; choose one of {SCHEDULE_KINDS}")
+
+    @property
+    def T(self) -> int | None:
+        """The coverage window: every player activates at least once in any ``T``
+        consecutive steps. None for iid-random, which offers no such guarantee;
+        convergence analyses must warn when handed such a schedule."""
+        return _WINDOWS[self.kind](self.n)
 
     @property
     def stability_window(self) -> int:
         """Steps of no movement required to declare a trajectory stationary."""
-        return self.T if self.T is not None else 4 * self.n
+        T = self.T
+        return T if T is not None else 4 * self.n
 
     def sets(self) -> Iterator[tuple[int, ...]]:
         """Fresh infinite iterator of active sets (0-based indices).
@@ -86,23 +99,15 @@ class RevisionSchedule:
             while True:
                 for i in rng.permutation(n):
                     yield (int(i),)
-        elif self.kind == "iid-random":
+        else:  # iid-random
             rng = np.random.default_rng(self.seed)
             while True:
                 yield (int(rng.integers(n)),)
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
 def make_schedule(kind: str, n: int, seed: int | None = None) -> RevisionSchedule:
-    """Build a revision schedule of one of the ``SCHEDULE_KINDS``, with the
-    coverage window of that kind; a missing ``seed`` is stored as 0."""
-    if n < 2:
-        raise ValueError(f"schedules need n >= 2, got {n}")
-    # a tuple test, not a dict lookup, so an unhashable kind is refused as unknown
-    if kind not in SCHEDULE_KINDS:
-        raise ValueError(f"unknown schedule kind {kind!r}; choose one of {SCHEDULE_KINDS}")
-    return RevisionSchedule(kind, n, seed if seed is not None else 0, _WINDOWS[kind](n))
+    """A revision schedule of one of the ``SCHEDULE_KINDS``; a missing ``seed`` is stored as 0."""
+    return RevisionSchedule(kind, n, 0 if seed is None else seed)
 
 
 def _revise(y: np.ndarray, rows: np.ndarray, terms: RevisionTerms) -> tuple[np.ndarray, np.ndarray]:
@@ -208,33 +213,6 @@ class Trajectory:
         return self.x.shape[0]
 
 
-class _Rows:
-    """Action and opinion rows of a recorded run, doubling in capacity when full."""
-
-    def __init__(self, n: int, capacity: int):
-        self.t = 0
-        self.x = np.empty((capacity, n), dtype=np.int8)
-        self.y = np.empty((capacity, n))
-
-    def append(self, x: np.ndarray, y: np.ndarray) -> None:
-        t = self.t
-        if t == len(self.x):
-            self.x, self.y = _doubled(self.x), _doubled(self.y)
-        self.x[t] = x
-        self.y[t] = y
-        self.t = t + 1
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The filled rows, without the spare capacity."""
-        return self.x[: self.t].copy(), self.y[: self.t].copy()
-
-
-def _doubled(a: np.ndarray) -> np.ndarray:
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 def _check_tolerance(tol, field: str = "fixed_point_tol") -> None:
     """Refuse a NaN, infinite, zero or negative stopping tolerance."""
     if not (np.isfinite(tol) and tol > 0.0):
@@ -274,14 +252,12 @@ def run(
 
     x = initial.x.astype(np.int8)
     y = np.array(initial.y)
-    rows: _Rows | None = None
-    if record:
-        rows = _Rows(params.n, min(max_steps + 1, 1024))
-        rows.append(x, y)
+    # recorded rows are copies, stacked once after the loop
+    xs, ys = ([x.copy()], [y.copy()]) if record else ([], [])
     active_sets: list[tuple[int, ...]] = []
-    # schedules repeat a few distinct sets: sort each into an index once and
-    # keep its influence rows and revision terms, so a step is one matvec and
-    # the elementwise best response
+    # schedules repeat a few distinct sets, each a contiguous run of players:
+    # keep each one's slice, influence rows and revision terms, so a step is
+    # one matvec and the elementwise best response
     prepared: dict[tuple[int, ...], tuple] = {}
 
     lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
@@ -294,20 +270,15 @@ def run(
         key = next(sets_iter)
         entry = prepared.get(key)
         if entry is None:
-            active = np.unique(np.asarray(key, dtype=np.int64))
-            # a contiguous set (one player, or every player) is read and
-            # written through a slice, not through fancy-index copies
-            first, stop = int(active[0]), int(active[-1]) + 1
-            idx = slice(first, stop) if stop - first == len(active) else active
-            terms = _revision_terms(params, idx)
-            entry = prepared[key] = (tuple(active.tolist()), idx, net.W[idx], terms)
-        active_set, idx, rows_w, terms = entry
+            idx = slice(key[0], key[-1] + 1)
+            entry = prepared[key] = (idx, net.W[idx], _revision_terms(params, idx))
+        idx, rows_w, terms = entry
         s, y_raw = _revise(y, rows_w, terms)
         # NaN fails both comparisons, so non-finite updates trip the guard too
         if not (y_raw.min() >= lo and y_raw.max() <= hi):
             bad = int(np.argmax(~((y_raw >= lo) & (y_raw <= hi))))
             stop_reason = "divergence_guard"
-            stop_detail = f"player {active_set[bad] + 1}: raw opinion {float(y_raw[bad])!r}"
+            stop_detail = f"player {key[bad] + 1}: raw opinion {float(y_raw[bad])!r}"
             break
         # the array methods skip the module functions' dispatch layers
         y_active = y_raw.clip(0.0, 1.0)
@@ -319,14 +290,15 @@ def run(
         )
         x[idx] = s
         y[idx] = y_active
-        if rows is not None:
-            rows.append(x, y)
-            active_sets.append(active_set)
+        if record:
+            xs.append(x.copy())
+            ys.append(y.copy())
+            active_sets.append(key)
         streak = streak + 1 if change <= fixed_point_tol else 0
         if streak >= window:
             stop_reason = "fixed_point"
             break
-    X, Y = rows.arrays() if rows is not None else (x[None, :], y[None, :])
+    X, Y = (np.stack(xs), np.stack(ys)) if record else (x[None, :], y[None, :])
     defined = record and _potential_fault(params) is None
     return Trajectory(
         x=X,

@@ -138,10 +138,11 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     """Parse a trajectory file back into states, active sets, and potentials.
 
     The file is read one line at a time. Every row must hold a valid state:
-    actions 0 or 1, opinions in [0, 1]. A malformed cell or row raises a
-    ValueError that starts with ``path:line`` and, for an action or opinion,
-    names the player. Files do not carry the in-memory stop reason, so the
-    result's stop_reason is "unknown".
+    actions 0 or 1, opinions in [0, 1]; active ids lie in 1..n; a potential is
+    on every row or on none. A malformed cell or row raises a ValueError that
+    starts with ``path:line`` and, for an action or opinion, names the player.
+    Files do not carry the in-memory stop reason, so the result's stop_reason
+    is "unknown".
     """
     _, decode = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
     xs, ys, linenos, actives, pots = [], [], [], [], None
@@ -155,16 +156,20 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
                 raise ValueError(
                     f"{where}: expected {n} actions and {n} opinions, got {len(x)} and {len(y)}"
                 )
-            if _read(int, t, where, "time index") != len(xs):
+            if t != len(xs):
                 raise ValueError(f"{where}: time index {t} out of order")
             if xs:
-                actives.append(_read(lambda a: tuple(int(i) - 1 for i in a), active, where, "active ids"))
+                if not all(0 <= i < n for i in active):
+                    ids = [i + 1 for i in active]
+                    raise ValueError(f"{where}: active ids must lie in 1..{n}, got {ids}")
+                actives.append(active)
             else:
                 pots = None if pot is None else []
-            if pots is not None:
-                if pot is None:
-                    raise ValueError(f"{where}: missing potential value")
-                pots.append(_read(float, pot, where, "potential"))
+            # the first row decides whether every row has a potential or none does
+            if (pot is None) != (pots is None):
+                raise ValueError(f"{where}: {'missing' if pot is None else 'unexpected'} potential value")
+            if pot is not None:
+                pots.append(pot)
             xs.append(x)
             ys.append(y)
             linenos.append(lineno)
@@ -217,8 +222,10 @@ def _csv_rows(path: str, lines):
         _read_players(x, x_text, compress(range(n), map(ne, x_text, x_before)), int, where, "action")
         _read_players(y, y_text, compress(range(n), map(ne, y_text, y_before)), float, where, "opinion")
         x_before, y_before = x_text, y_text
-        active = cells[1].split(";") if cells[1] else ()
-        yield lineno, cells[0], active, list(x), list(y), cells[-1] or None
+        t = _read(int, cells[0], where, "time index")
+        active = _read(_ids(int), cells[1].split(";") if cells[1] else [], where, "active ids")
+        pot = _read(float, cells[-1], where, "potential") if cells[-1] else None
+        yield lineno, t, active, list(x), list(y), pot
 
 
 def _jsonl_rows(path: str, lines):
@@ -234,10 +241,18 @@ def _jsonl_rows(path: str, lines):
             raise ValueError(f"{where}: not a trajectory row ({type(exc).__name__}: {exc})") from None
         _read_players(x, x, range(len(x)), _json_integer, where, "action")
         _read_players(y, y, range(len(y)), _json_number, where, "opinion")
-        t, active = _read(_json_integer, t, where, "time index"), obj.get("active")
-        if active is not None:
-            _read(lambda ids: [_json_integer(i) for i in ids], active, where, "active ids")
-        yield lineno, t, active, x, y, obj.get("potential")
+        t = _read(_json_integer, t, where, "time index")
+        active, pot = obj.get("active"), obj.get("potential")
+        # row 0 follows no revision, so its active ids may be left out
+        if not (t == 0 and active is None):
+            active = _read(_ids(_json_integer), active, where, "active ids")
+        pot = None if pot is None else _read(_json_number, pot, where, "potential")
+        yield lineno, t, active, x, y, pot
+
+
+def _ids(convert):
+    """Reader of a list of 1-based player ids, as a tuple of 0-based indices."""
+    return lambda ids: tuple(convert(i) - 1 for i in ids)
 
 
 def _json_integer(value) -> int:
@@ -256,7 +271,8 @@ def _json_number(value) -> float:
 
 #: Trajectory file format name -> (render to text, rows). ``rows(path, lines)``
 #: reads numbered non-blank lines and yields the header's player count (None
-#: without a header), then ``(lineno, t, active, x, y, potential or None)``.
+#: without a header), then ``(lineno, t, active, x, y, potential or None)`` with
+#: ``t`` an int, ``active`` a tuple of 0-based ids and the potential a float.
 TRAJECTORY_FORMATS = {
     "csv": (render_trajectory_csv, _csv_rows),
     "json-lines": (render_trajectory_jsonl, _jsonl_rows),

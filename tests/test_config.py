@@ -275,6 +275,9 @@ class TestRejections:
             ("initial_state", {"preset": "random", "x": [1, 0, 1, 0]}, "unknown key initial_state.x; use preset, seed"),
             ("network", {"type": "inline"}, "network.matrix is required"),
             ("network", {"type": "file"}, "network.path is required"),
+            ("network", {"type": "file", "path": "net.edges", "format": ["edge-list"]}, r"network.format must be a string, got \['edge-list'\]"),
+            ("network", {"type": "file", "path": "net.edges", "format": {"name": "csv"}}, r"network.format must be a string, got \{'name': 'csv'\}"),
+            ("network", {"type": "file", "path": ["net.edges"]}, r"network.path must be a string, got \['net.edges'\]"),
             ("network", {"type": "grid", "cols": 2}, "network.rows is required"),
             ("network", {"seed": 1}, "network.type is required"),
         ],

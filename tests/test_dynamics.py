@@ -77,6 +77,34 @@ class TestSchedules:
         with pytest.raises(ValueError, match="unknown schedule kind"):
             make_schedule("alternating", 4)
 
+    @pytest.mark.parametrize("kind, n", [("alternating", 4), ("round-robin", 1), (["synchronous"], 4)])
+    def test_direct_construction_checks_itself(self, kind, n):
+        with pytest.raises(ValueError, match="unknown schedule kind|schedules need n >= 2"):
+            RevisionSchedule(kind, n)
+
+    def test_fields_are_kind_n_and_seed(self):
+        sched = RevisionSchedule("round-robin", 3)
+        assert (sched.kind, sched.n, sched.seed) == ("round-robin", 3, 0)
+        assert sched.T == sched.stability_window == 3
+        assert sched == make_schedule("round-robin", 3)
+        with pytest.raises(TypeError):
+            RevisionSchedule("round-robin", 3, 0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SCHEDULE_KINDS), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_sets_are_contiguous_and_windows_cover(self, kind, n, seed):
+        # run reads every set as one slice, so each must be one player or everyone
+        sched = make_schedule(kind, n, seed=seed)
+        it = sched.sets()
+        sets = [next(it) for _ in range(3 * (sched.T or n) + n)]
+        for active in sets:
+            assert len(active) in (1, n)
+            assert active == tuple(range(active[0], active[-1] + 1))
+        if sched.T is not None:
+            for t in range(len(sets) - sched.T + 1):
+                covered = {i for active in sets[t : t + sched.T] for i in active}
+                assert covered == set(range(n))
+
     def test_compliant_kinds_have_windows(self):
         for kind, expected_T in (("synchronous", 1), ("round-robin", 6), ("shuffled-rounds", 11)):
             sched = make_schedule(kind, 6, seed=0)
@@ -287,7 +315,8 @@ class TestRun:
         assert traj.final == (initial if max_steps % 2 == 0 else swapped)
 
     def test_recorded_rows_survive_buffer_growth(self):
-        # 3001 rows outgrow the 1024-row first buffer twice
+        # 3001 rows of a 2-cycle: each recorded row is its own copy, never a
+        # view of the state the loop goes on to overwrite
         net = Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
         params = ModelParams.uniform(2, 1.9, 0.01, 0.495)
         initial = SystemState(np.array([1, 0]), np.array([1.0, 0.0]))
@@ -295,6 +324,7 @@ class TestRun:
         traj = run(initial, schedule, params, net, max_steps=3000)
         assert traj.stop_reason == "max_steps"
         assert traj.x.shape == traj.y.shape == (3001, 2)
+        assert traj.x.dtype == np.int8 and traj.y.dtype == np.float64
         assert len(traj.active_sets) == 3000
         even = np.arange(3001) % 2 == 0
         np.testing.assert_array_equal(traj.x[even], [[1, 0]] * 1501)
@@ -573,29 +603,6 @@ def _sparse_network(rng: np.random.Generator, shape: str, n: int) -> Network:
     np.fill_diagonal(mask, rng.random(n) < 0.5)
     mask[np.diag_indices(n)] |= ~mask.any(axis=1)
     return Network.from_matrix(np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0), normalise=True)
-
-
-class _ScatteredSets(RevisionSchedule):
-    """Active sets that are not contiguous runs of players, unsorted, with repeats."""
-
-    def sets(self):
-        while True:
-            yield (4, 0, 2)
-            yield (3, 1, 3)
-
-
-def test_scattered_active_sets_match_step_replay():
-    rng = np.random.default_rng(11)
-    params = random_interior_params(rng, 5)
-    net = random_row_stochastic(rng, 5)
-    initial = random_state(rng, 5)
-    traj = run(initial, _ScatteredSets("scattered", 5, 0, 2), params, net, max_steps=40)
-    assert traj.active_sets[:2] == ((0, 2, 4), (1, 3))
-    states = traj.states
-    for t, active in enumerate(traj.active_sets):
-        replayed = step(states[t], active, params, net)
-        np.testing.assert_array_equal(replayed.x, states[t + 1].x)
-        np.testing.assert_array_equal(_bits(replayed.y), _bits(states[t + 1].y))
 
 
 @settings(max_examples=40, deadline=None)

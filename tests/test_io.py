@@ -278,6 +278,19 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match=r"bad\.csv:3: missing potential"):
             load_trajectory(str(path))
 
+    @pytest.mark.parametrize("format, line, text", [
+        ("csv", 4, "t,active,x_1,y_1,potential\n0,,1,0.5,\n1,1,1,0.5,\n2,1,1,0.5,-0.25\n"),
+        ("json-lines", 3, '{"t": 0, "active": [], "x": [1], "y": [0.5]}\n'
+                          '{"t": 1, "active": [1], "x": [1], "y": [0.5], "potential": null}\n'
+                          '{"t": 2, "active": [1], "x": [1], "y": [0.5], "potential": -0.25}\n'),
+    ])
+    def test_potential_after_rows_without_one(self, tmp_path, format, line, text):
+        # the first row has no potential, so no later row may have one
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.txt:{line}: unexpected potential value"):
+            load_trajectory(str(path), format=format)
+
     def test_invalid_rows_name_line_and_player(self, tmp_path):
         path = tmp_path / "bad.csv"
         header = "t,active,x_1,x_2,y_1,y_2,potential\n"
@@ -321,6 +334,9 @@ class TestTrajectoryFiles:
             ("one,1,1,0,0.5,0.5,-1", r"bad\.csv:3: cannot read time index 'one'"),
             ("1,x,1,0,0.5,0.5,-1", r"bad\.csv:3: cannot read active ids \['x'\]"),
             ("1,1,1,99999999999999999999,0.5,0.5,-1", r"bad\.csv:3: player 2: action must be 0 or 1"),
+            # active ids are 1-based and name one of the n players
+            ("1,0,1,0,0.5,0.5,-1", r"bad\.csv:3: active ids must lie in 1\.\.2, got \[0\]$"),
+            ("1,1;3,1,0,0.5,0.5,-1", r"bad\.csv:3: active ids must lie in 1\.\.2, got \[1, 3\]$"),
         ],
     )
     def test_malformed_csv_cell_names_line(self, tmp_path, row, message):
@@ -348,6 +364,11 @@ class TestTrajectoryFiles:
             ('{"t": true, "active": [1], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read time index True$"),
             ('{"t": 1, "active": [1.7], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read active ids \[1\.7\]$"),
             ('{"t": 1, "active": [true], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: cannot read active ids \[True\]$"),
+            ('{"t": 1, "active": [0], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: active ids must lie in 1\.\.1, got \[0\]$"),
+            ('{"t": 1, "active": [7], "x": [1], "y": [0.5]}', r"bad\.jsonl:2: active ids must lie in 1\.\.1, got \[7\]$"),
+            # a potential is a JSON number or null
+            ('{"t": 1, "active": [1], "x": [1], "y": [0.5], "potential": true}', r"bad\.jsonl:2: cannot read potential True$"),
+            ('{"t": 1, "active": [1], "x": [1], "y": [0.5], "potential": "0.5"}', r"bad\.jsonl:2: cannot read potential '0\.5'$"),
         ],
     )
     def test_malformed_jsonl_row_names_line(self, tmp_path, row, message):
