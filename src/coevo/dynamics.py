@@ -11,6 +11,7 @@ the convergence analysis assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -40,6 +41,14 @@ _WINDOWS = {
 }
 SCHEDULE_KINDS = tuple(_WINDOWS)
 
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and everything else."""
+    # the exact type test first: step() checks every active id, and an
+    # isinstance test against the ABC is over ten times slower
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
 #: Raw opinion updates further than this outside [0, 1] indicate an internal
 #: fault (legitimate row-sum dust is bounded by the 1e-9 network tolerance).
 _DIVERGENCE_BAND = 1e-6
@@ -60,11 +69,15 @@ class RevisionSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"schedule n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"schedules need n >= 2, got {self.n}")
         # a tuple test, not a dict lookup, so an unhashable kind is refused as unknown
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; choose one of {SCHEDULE_KINDS}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"schedule seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def T(self) -> int | None:
@@ -115,10 +128,17 @@ def _revise(y: np.ndarray, rows: np.ndarray, terms: RevisionTerms) -> tuple[np.n
 
     ``terms`` are those players' ``RevisionTerms``. All of them read the same
     pre-step opinions. Returns their new actions (int8) and raw opinions,
-    before any clipping, in the order of ``rows``.
+    before any clipping, in the order of ``rows``. Given one player's terms
+    as Python floats (``RevisionTerms.item``), the same formulas run in float
+    arithmetic on the one matvec entry and return an int action and a float.
     """
-    delta, pulled = _revision(rows @ y, terms)
-    s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
+    social = rows @ y
+    if isinstance(terms.base, float):
+        delta, pulled = _revision(social.item(), terms)
+        s = int(delta > DISCRIMINANT_TIE_TOL)
+    else:
+        delta, pulled = _revision(social, terms)
+        s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
     return s, _opinion(s, pulled, terms)
 
 
@@ -137,7 +157,11 @@ def step(
     dust from networks whose rows sum to 1 within the 1e-9 tolerance.
     """
     _check_sizes(params, net, state)
-    active = np.unique(np.asarray(list(active), dtype=np.int64))
+    active = list(active)
+    for i in active:
+        if not _is_int(i):
+            raise ValueError(f"active ids must be integers, got {i!r}")
+    active = np.unique(np.asarray(active, dtype=np.int64))
     if active.size == 0:
         return state
     if active.min() < 0 or active.max() >= params.n:
@@ -238,6 +262,10 @@ def run(
     dust, which cannot happen under valid inputs and signals an internal
     fault; the trajectory then ends at the last valid state.
 
+    A one-player set is revised in Python float arithmetic on one matvec
+    entry, and an everyone-set with one matvec and array operations; both go
+    through the same formulas and give the same bits as ``step``.
+
     With ``record`` every state is kept, and the potential of each is logged
     whenever it is defined (all gamma zero, all beta positive). Without it
     only the final state is kept and no potential is computed, so memory does
@@ -255,9 +283,10 @@ def run(
     # recorded rows are copies, stacked once after the loop
     xs, ys = ([x.copy()], [y.copy()]) if record else ([], [])
     active_sets: list[tuple[int, ...]] = []
-    # schedules repeat a few distinct sets, each a contiguous run of players:
-    # keep each one's slice, influence rows and revision terms, so a step is
-    # one matvec and the elementwise best response
+    # schedules repeat a few distinct sets, each one player or everyone: keep
+    # each one's slice, influence rows and revision terms, so a step is one
+    # matvec and the best response, in float arithmetic for one player (whose
+    # terms are Python floats) and elementwise for everyone
     prepared: dict[tuple[int, ...], tuple] = {}
 
     lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
@@ -271,25 +300,35 @@ def run(
         entry = prepared.get(key)
         if entry is None:
             idx = slice(key[0], key[-1] + 1)
-            entry = prepared[key] = (idx, net.W[idx], _revision_terms(params, idx))
+            terms = _revision_terms(params, idx)
+            entry = prepared[key] = (idx, net.W[idx], terms.item() if len(key) == 1 else terms)
         idx, rows_w, terms = entry
         s, y_raw = _revise(y, rows_w, terms)
-        # NaN fails both comparisons, so non-finite updates trip the guard too
-        if not (y_raw.min() >= lo and y_raw.max() <= hi):
-            bad = int(np.argmax(~((y_raw >= lo) & (y_raw <= hi))))
+        one = len(key) == 1
+        # NaN fails every comparison, so non-finite updates trip the guard too
+        if not ((lo <= y_raw <= hi) if one else (y_raw.min() >= lo and y_raw.max() <= hi)):
+            raw = np.atleast_1d(y_raw)
+            bad = int(np.argmax(~((raw >= lo) & (raw <= hi))))
             stop_reason = "divergence_guard"
-            stop_detail = f"player {key[bad] + 1}: raw opinion {float(y_raw[bad])!r}"
+            stop_detail = f"player {key[bad] + 1}: raw opinion {float(raw[bad])!r}"
             break
-        # the array methods skip the module functions' dispatch layers
-        y_active = y_raw.clip(0.0, 1.0)
         # inactive coordinates are untouched, so they contribute exactly 0; a
         # changed action moves by exactly 1
-        change = max(
-            float(np.abs(y_active - y[idx]).max()),
-            float((s != x[idx]).any()),
-        )
-        x[idx] = s
-        y[idx] = y_active
+        if one:
+            i = key[0]
+            y_new = min(max(y_raw, 0.0), 1.0)  # keeps -0.0, as ndarray.clip does
+            change = max(abs(y_new - y.item(i)), float(s != x.item(i)))
+            x[i] = s
+            y[i] = y_new
+        else:
+            # the array methods skip the module functions' dispatch layers
+            y_active = y_raw.clip(0.0, 1.0)
+            change = max(
+                float(np.abs(y_active - y[idx]).max()),
+                float((s != x[idx]).any()),
+            )
+            x[idx] = s
+            y[idx] = y_active
         if record:
             xs.append(x.copy())
             ys.append(y.copy())

@@ -389,6 +389,11 @@ class RevisionTerms(NamedTuple):
     denom: np.ndarray
     blend: tuple[np.ndarray, np.ndarray] | None
 
+    def item(self) -> RevisionTerms:
+        """The terms of a single player as Python floats, for scalar arithmetic."""
+        blend = None if self.blend is None else (self.blend[0].item(), self.blend[1].item())
+        return RevisionTerms(*(a.item() for a in self[:5]), blend)
+
 
 def _revision_terms(params: ModelParams, players=slice(None)) -> RevisionTerms:
     """``RevisionTerms`` of the listed players: an index, an index array or a slice.

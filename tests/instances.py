@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from coevo.model import ModelParams, Network, SystemState
+from coevo.model import DISCRIMINANT_TIE_TOL, ModelParams, Network, SystemState
 from coevo.networks import random_symmetric_network
 
 
@@ -51,6 +51,29 @@ def random_interior_params(
 
 def random_state(rng: np.random.Generator, n: int) -> SystemState:
     return SystemState(rng.integers(0, 2, size=n).astype(np.int64), rng.random(n))
+
+
+def _shared_weights(rng: np.random.Generator):
+    alpha, split = rng.uniform(0.3, 0.6), rng.uniform(0.35, 0.65)
+    beta, lam = (1 - alpha) * split, (1 - alpha) * (1 - split)
+    return alpha, beta, lam, beta * lam / (beta + lam)
+
+
+def tied_params(rng: np.random.Generator, n: int) -> ModelParams:
+    """One shared set of weights, with r on the condition boundary where
+    all-cooperation consensus has a zero discriminant, so it is a Nash
+    equilibrium only by the tie rule."""
+    alpha, beta, lam, coupling = _shared_weights(rng)
+    return ModelParams.uniform(n, n * (1 - coupling / (2 * alpha)), alpha, beta, lam)
+
+
+def edge_params(rng: np.random.Generator, n: int) -> list[ModelParams]:
+    """One shared set of weights, with r where all-cooperation consensus has
+    discriminant -DISCRIMINANT_TIE_TOL, and its four float neighbours on each
+    side, where rounding decides which side of the tie band the player lands."""
+    alpha, beta, lam, coupling = _shared_weights(rng)
+    r = n * (1 + (-DISCRIMINANT_TIE_TOL - coupling / 2) / alpha)
+    return [ModelParams.uniform(n, r + k * np.spacing(r), alpha, beta, lam) for k in range(-4, 5)]
 
 
 def _regime_weights(rng: np.random.Generator, n: int):

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,11 @@ from coevo.model import ModelParams, Network, SystemState
 from coevo.networks import complete_network, grid_network, random_symmetric_network, ring_network
 from instances import (
     convergence_instance,
+    edge_params,
     random_interior_params,
     random_row_stochastic,
     random_state,
+    tied_params,
 )
 
 
@@ -81,6 +86,35 @@ class TestSchedules:
     def test_direct_construction_checks_itself(self, kind, n):
         with pytest.raises(ValueError, match="unknown schedule kind|schedules need n >= 2"):
             RevisionSchedule(kind, n)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (2.5, 0, "schedule n must be an integer, got 2.5"),
+            (True, 0, "schedule n must be an integer, got True"),
+            ("4", 0, "schedule n must be an integer, got '4'"),
+            (4, -1, "schedule seed must be a non-negative integer, got -1"),
+            (4, 1.5, "schedule seed must be a non-negative integer, got 1.5"),
+            (4, 2.0, "schedule seed must be a non-negative integer, got 2.0"),
+            (4, True, "schedule seed must be a non-negative integer, got True"),
+        ],
+    )
+    @pytest.mark.parametrize("build", [RevisionSchedule, make_schedule])
+    def test_non_integer_fields_are_named(self, build, n, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build("shuffled-rounds", n, seed)
+
+    def test_only_make_schedule_reads_a_missing_seed_as_zero(self):
+        assert make_schedule("iid-random", 4, None).seed == 0
+        with pytest.raises(ValueError, match="schedule seed must be a non-negative integer, got None"):
+            RevisionSchedule("iid-random", 4, None)
+
+    def test_numpy_integers_are_integers(self):
+        sched = RevisionSchedule("shuffled-rounds", np.int64(4), np.uint32(7))
+        assert sched == make_schedule("shuffled-rounds", 4, 7)
+        assert list(itertools.islice(sched.sets(), 8)) == list(
+            itertools.islice(make_schedule("shuffled-rounds", 4, 7).sets(), 8)
+        )
 
     def test_fields_are_kind_n_and_seed(self):
         sched = RevisionSchedule("round-robin", 3)
@@ -149,6 +183,17 @@ class TestStep:
     def test_out_of_range_active_rejected(self, params_r2, complete4):
         with pytest.raises(IndexError):
             step(SystemState.all_defection(4), [4], params_r2, complete4)
+
+    @pytest.mark.parametrize("bad", [1.7, True, "2", float("nan"), np.float64(1.0), None])
+    def test_non_integer_active_id_is_named(self, params_r2, complete4, bad):
+        with pytest.raises(ValueError, match=f"active ids must be integers, got {re.escape(repr(bad))}$"):
+            step(SystemState.all_cooperation(4), [0, bad], params_r2, complete4)
+
+    def test_numpy_integer_ids_are_integers(self, params_r2, complete4):
+        state = SystemState.all_cooperation(4)
+        expected = step(state, [1, 2], params_r2, complete4)
+        assert step(state, np.array([1, 2]), params_r2, complete4) == expected
+        assert step(state, (np.int8(2), np.uint64(1)), params_r2, complete4) == expected
 
     def test_simultaneous_reads_within_step(self, complete4):
         # both updates must read pre-step opinions: with sequential reads
@@ -267,6 +312,41 @@ class TestRun:
             traj.final.y, complete4.W[[2]], dynamics_module._revision_terms(params_r2, [2])
         )
         assert traj.stop_detail == f"player 3: raw opinion {float(y_raw[0]) + 5.0!r}"
+
+    @pytest.mark.parametrize("kind, poisoned_call", [("round-robin", 3), ("synchronous", 2)])
+    def test_divergence_guard_names_the_player_on_both_set_shapes(
+        self, params_r2, complete4, monkeypatch, kind, poisoned_call
+    ):
+        # one player is revised in float arithmetic and everyone in array
+        # arithmetic; either way the guard stops at the last valid state and
+        # names the first player out of range, with the repr of its raw opinion
+        calls = {"n": 0}
+        real_revise = dynamics_module._revise
+        push = np.array([0.0, 0.0, 5.0, np.nan])
+
+        def poisoned(y, rows, terms):
+            calls["n"] += 1
+            s, y_raw = real_revise(y, rows, terms)
+            if calls["n"] == poisoned_call:
+                y_raw = y_raw + (push[2] if np.ndim(y_raw) == 0 else push)
+            return s, y_raw
+
+        monkeypatch.setattr(dynamics_module, "_revise", poisoned)
+        traj = run(
+            SystemState.all_cooperation(4),
+            make_schedule(kind, 4),
+            params_r2,
+            complete4,
+            max_steps=10,
+        )
+        assert traj.stop_reason == "divergence_guard"
+        assert len(traj) == poisoned_call
+        monkeypatch.undo()
+        # the poisoned revision is player 3's in both schedules
+        _, y_raw = dynamics_module._revise(
+            traj.final.y, complete4.W, dynamics_module._revision_terms(params_r2)
+        )
+        assert traj.stop_detail == f"player 3: raw opinion {float(y_raw[2]) + 5.0!r}"
 
     @pytest.mark.parametrize("kind", ["round-robin", "iid-random"])
     def test_zero_opinion_and_consistency_weight_names_the_player(self, kind, complete4):
@@ -542,21 +622,59 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-@settings(max_examples=150, deadline=None)
+def _sparse_network(rng: np.random.Generator, shape: str, n: int) -> Network:
+    if shape == "ring":
+        return ring_network(n)
+    if shape == "grid":
+        rows = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
+        return grid_network(rows, n // rows)
+    # random support with self-loops, not necessarily strongly connected
+    mask = rng.random((n, n)) < 0.15
+    np.fill_diagonal(mask, rng.random(n) < 0.5)
+    mask[np.diag_indices(n)] |= ~mask.any(axis=1)
+    return Network.from_matrix(np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0), normalise=True)
+
+
+def _exact_values(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
+    """``v`` with about a third of its entries set to exactly 0.0, -0.0 or 1.0."""
+    v = v.copy()
+    hit = rng.random(v.size) < 0.35
+    v[hit] = rng.choice([0.0, -0.0, 1.0], size=int(hit.sum()))
+    return v
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(SCHEDULE_KINDS),
-    st.booleans(),
+    st.sampled_from(("dense", "ring", "grid", "random")),
+    st.sampled_from(("interior", "prejudiced", "tied", "edge")),
+    st.sampled_from(("random", "exact", "cooperation")),
     st.integers(1, 300),
 )
-def test_recorded_run_matches_step_replay(seed, kind, prejudiced, max_steps):
-    # oracle for the in-place loop: every recorded row is one validated
-    # step() of the row before, bit for bit, and every potential is the
-    # public potential() of its row
+def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max_steps):
+    # oracle for the in-place loop, which revises one player in float
+    # arithmetic and everyone in array arithmetic: every recorded row is one
+    # validated step() of the row before, bit for bit, and every potential is
+    # the public potential() of its row. The random sparse network has self-loops;
+    # "tied" and "edge" put all-cooperation's discriminant at 0 and at
+    # -DISCRIMINANT_TIE_TOL; "exact" sets some opinions and prejudices to
+    # exactly 0.0, -0.0 or 1.0.
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 8))
-    params = random_interior_params(rng, n)
-    if prejudiced:
+    if shape == "dense":
+        n = int(rng.integers(2, 8))
+        net = random_row_stochastic(rng, n)
+    else:
+        n = int(rng.integers(3, 41))
+        net = _sparse_network(rng, shape, n)
+    if weights == "tied":
+        params = tied_params(rng, n)
+    elif weights == "edge":
+        params = edge_params(rng, n)[int(rng.integers(9))]
+    else:
+        params = random_interior_params(rng, n)
+    if weights == "prejudiced":
+        prejudice = rng.random(n)
         params = ModelParams(
             n=n,
             r=params.r,
@@ -564,10 +682,13 @@ def test_recorded_run_matches_step_replay(seed, kind, prejudiced, max_steps):
             beta=params.beta,
             lam=params.lam,
             gamma=rng.uniform(0.0, 0.9, n),
-            prejudice=rng.random(n),
+            prejudice=_exact_values(rng, prejudice) if start == "exact" else prejudice,
         )
-    net = random_row_stochastic(rng, n)
     initial = random_state(rng, n)
+    if start == "exact":
+        initial = SystemState(initial.x, _exact_values(rng, initial.y))
+    elif start == "cooperation":
+        initial = SystemState.all_cooperation(n)
     schedule = make_schedule(kind, n, seed=seed)
     traj = run(initial, schedule, params, net, max_steps=max_steps)
     states = traj.states
@@ -577,7 +698,7 @@ def test_recorded_run_matches_step_replay(seed, kind, prejudiced, max_steps):
         replayed = step(states[t], active, params, net)
         np.testing.assert_array_equal(replayed.x, states[t + 1].x)
         np.testing.assert_array_equal(_bits(replayed.y), _bits(states[t + 1].y))
-    if prejudiced:
+    if weights == "prejudiced":
         assert traj.potentials is None
     else:
         assert traj.potentials is not None
@@ -590,19 +711,6 @@ def test_recorded_run_matches_step_replay(seed, kind, prejudiced, max_steps):
     assert lean.potentials is None
     np.testing.assert_array_equal(lean.x[0], traj.x[-1])
     np.testing.assert_array_equal(_bits(lean.y[0]), _bits(traj.y[-1]))
-
-
-def _sparse_network(rng: np.random.Generator, shape: str, n: int) -> Network:
-    if shape == "ring":
-        return ring_network(n)
-    if shape == "grid":
-        rows = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
-        return grid_network(rows, n // rows)
-    # random support with self-loops, not necessarily strongly connected
-    mask = rng.random((n, n)) < 0.15
-    np.fill_diagonal(mask, rng.random(n) < 0.5)
-    mask[np.diag_indices(n)] |= ~mask.any(axis=1)
-    return Network.from_matrix(np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0), normalise=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,8 +41,10 @@ from coevo.networks import complete_network, random_symmetric_network, ring_netw
 from instances import (
     cooperation_regime_params,
     defection_regime_params,
+    edge_params,
     random_interior_params,
     random_row_stochastic,
+    tied_params,
 )
 from scan import scan_equilibria
 
@@ -464,10 +466,7 @@ def _oracle_instance(seed, kind):
     n = int(rng.integers(2, 8))
     net = random_row_stochastic(rng, n)
     if kind == "tied":
-        alpha, split = rng.uniform(0.3, 0.6), rng.uniform(0.35, 0.65)
-        beta, lam = (1 - alpha) * split, (1 - alpha) * (1 - split)
-        coupling = beta * lam / (beta + lam)
-        return rng, ModelParams.uniform(n, n * (1 - coupling / (2 * alpha)), alpha, beta, lam), net
+        return rng, tied_params(rng, n), net
     params = random_interior_params(rng, n)
     if kind == "attached":
         params = ModelParams(
@@ -566,17 +565,9 @@ def _scan_instances(seed, kind):
             lam=1.0 - alpha - beta, gamma=np.zeros(n), prejudice=np.full(n, 0.5),
         )
         return [(params, net)]
-    alpha, split = rng.uniform(0.3, 0.6), rng.uniform(0.35, 0.65)
-    beta, lam = (1 - alpha) * split, (1 - alpha) * (1 - split)
-    coupling = beta * lam / (beta + lam)
     if kind == "tied":
-        r = n * (1 - coupling / (2 * alpha))
-        return [(ModelParams.uniform(n, r, alpha, beta, lam), net)]
-    r = n * (1 + (-DISCRIMINANT_TIE_TOL - coupling / 2) / alpha)
-    return [
-        (ModelParams.uniform(n, r + k * np.spacing(r), alpha, beta, lam), net)
-        for k in range(-4, 5)
-    ]
+        return [(tied_params(rng, n), net)]
+    return [(params, net) for params in edge_params(rng, n)]
 
 
 def _profiles(equilibria):
