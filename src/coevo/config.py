@@ -295,11 +295,9 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
 
     sweep_grid, sweep_trials = None, 20
     if sweep is not None:
-        # every axis but trials goes through, so sweep() rejects unknown ones
-        sweep_grid = {
-            axis: _numbers(sweep.get(axis), f"sweep.{axis}") for axis in sweep.raw if axis != "trials"
-        }
+        sweep_grid = {axis: _numbers(sweep.get(axis), f"sweep.{axis}") for axis in ("r", "alpha", "beta")}
         sweep_trials = sweep.integer("trials", 20, 1)
+        sweep.done()
 
     return ExperimentConfig(
         params=params, network=network, schedule=schedule, initial_state=initial,

@@ -11,7 +11,6 @@ the convergence analysis assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -24,6 +23,7 @@ from .model import (
     SystemState,
     _check_sizes,
     _check_vector,
+    _is_int,
     _opinion,
     _revision,
     _revision_terms,
@@ -40,13 +40,6 @@ _WINDOWS = {
     "iid-random": lambda n: None,  # one uniformly random player per step
 }
 SCHEDULE_KINDS = tuple(_WINDOWS)
-
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; False for bools, floats and everything else."""
-    # the exact type test first: step() checks every active id, and an
-    # isinstance test against the ABC is over ten times slower
-    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 #: Raw opinion updates further than this outside [0, 1] indicate an internal
@@ -161,13 +154,13 @@ def step(
     for i in active:
         if not _is_int(i):
             raise ValueError(f"active ids must be integers, got {i!r}")
+    # checked on the ids themselves, before an id too large for int64 is cast
+    if not all(0 <= i < params.n for i in active):
+        ids = sorted({int(i) for i in active})
+        raise IndexError(f"active set {ids} out of range for n={params.n} (0-based)")
     active = np.unique(np.asarray(active, dtype=np.int64))
     if active.size == 0:
         return state
-    if active.min() < 0 or active.max() >= params.n:
-        raise IndexError(
-            f"active set {active.tolist()} out of range for n={params.n} (0-based)"
-        )
     s, y_raw = _revise(state.y, net.W[active], _revision_terms(params, active))
     x_new = np.array(state.x)
     y_new = np.array(state.y)

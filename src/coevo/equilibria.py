@@ -130,9 +130,9 @@ def _require_solvable(params: ModelParams) -> None:
 
 def _opinion_system(params: ModelParams, net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M, psi, phi): stationary opinions solve M y = psi * x, M = I - diag(phi) W."""
-    denom = params.beta + params.lam
-    phi = params.beta / denom
-    psi = params.lam / denom
+    terms = _revision_terms(params)
+    phi = terms.beta / terms.denom
+    psi = terms.lam / terms.denom
     M = np.eye(params.n) - phi[:, None] * net.W
     return M, psi, phi
 
@@ -400,16 +400,17 @@ def sweep(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_tolerance(fixed_point_tol)
-    if schedule_kind == "iid-random":
+    n = net.n
+    # the schedule refuses an unknown kind or n < 2 before any cell runs
+    if make_schedule(schedule_kind, n).T is None:
         warnings.warn(
-            "the iid-random schedule does not guarantee that every player revises "
+            f"the {schedule_kind} schedule does not guarantee that every player revises "
             "within a fixed window; convergence conclusions do not apply to it",
             stacklevel=2,
         )
     rs = [float(v) for v in grid["r"]]
     alphas = [float(v) for v in grid["alpha"]]
     betas = [float(v) for v in grid["beta"]]
-    n = net.n
 
     cell_specs = list(itertools.product(rs, alphas, betas))
     master = np.random.SeedSequence(seed)

@@ -17,7 +17,7 @@ from operator import ne
 import numpy as np
 
 from .dynamics import Trajectory
-from .equilibria import ConditionReport, EquilibriumReport, NashCheck, SweepTable
+from .equilibria import ConditionReport, EquilibriumReport, SweepTable
 from .model import BestResponseSet, SystemState, _state_fault
 
 
@@ -289,7 +289,7 @@ def render_json(obj) -> str:
 
 
 def state_to_jsonable(state: SystemState) -> dict:
-    return {"x": [int(v) for v in state.x], "y": [float(v) for v in state.y]}
+    return {"x": state.x.tolist(), "y": state.y.tolist()}
 
 
 def condition_report_to_jsonable(report: ConditionReport) -> dict:
@@ -305,15 +305,7 @@ def condition_report_to_jsonable(report: ConditionReport) -> dict:
 
 def equilibrium_report_to_jsonable(report: EquilibriumReport) -> dict:
     def entry(e):
-        return {
-            **state_to_jsonable(e.state),
-            "class": {
-                "action_consensus": e.state_class.action_consensus,
-                "opinion_consensus": e.state_class.opinion_consensus,
-                "full_class": e.state_class.full_class,
-            },
-            "residual": e.residual,
-        }
+        return {**state_to_jsonable(e.state), "class": dataclasses.asdict(e.state_class), "residual": e.residual}
 
     return {
         "equilibria": [entry(e) for e in report.equilibria],
@@ -321,15 +313,6 @@ def equilibrium_report_to_jsonable(report: EquilibriumReport) -> dict:
         "action_profiles_scanned": report.action_profiles_scanned,
         "max_residual": report.solver_residuals,
     }
-
-
-def nash_check_to_jsonable(check: NashCheck) -> dict:
-    out: dict = {"is_nash": check.is_nash}
-    if not check.is_nash:
-        out["deviating_player"] = check.deviating_player + 1
-        action, opinion = check.improving_response
-        out["improving_response"] = {"action": int(action), "opinion": float(opinion)}
-    return out
 
 
 def best_response_to_jsonable(br: BestResponseSet) -> dict:

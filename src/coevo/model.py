@@ -15,6 +15,7 @@ immutable value objects, safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -295,7 +296,16 @@ class BestResponseSet:
         raise KeyError(f"action {action} is not a best response")
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and everything else."""
+    # the exact type test first: step() checks every active id, and an
+    # isinstance test against the ABC is over ten times slower
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
 def _check_player(i: int, n: int) -> int:
+    if not _is_int(i):
+        raise ValueError(f"player index must be an integer, got {i!r}")
     i = int(i)
     if not 0 <= i < n:
         raise IndexError(f"player index {i} out of range for n={n} (indices are 0-based)")
@@ -457,6 +467,7 @@ def discriminant(i: int, y, params: ModelParams, net: Network) -> float:
     function takes no actions.
     """
     _check_sizes(params, net)
+    i = _check_player(i, params.n)
     return _revision(social_term(i, y, net), _revision_terms(params, i))[0]
 
 

@@ -201,6 +201,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: run.fixed_point_tol must be ")
 
+    @pytest.mark.parametrize(
+        "sweep_section, message",
+        [
+            (
+                {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "gamma": [0.1]},
+                "error: unknown key sweep.gamma; use alpha, beta, r, trials\n",
+            ),
+            ({"r": [2.0], "alpha": [1 / 3]}, "error: sweep.beta is required\n"),
+            ({"r": [2.0], "alpha": 0.3, "beta": [1 / 3]}, "error: sweep.alpha must be a list of numbers\n"),
+        ],
+        ids=["extra-axis", "missing-axis", "scalar-axis"],
+    )
+    def test_sweep_section_is_checked_at_load(self, tmp_path, capsys, sweep_section, message):
+        doc = {"params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3}, "sweep": sweep_section}
+        path = tmp_path / "sweep_section.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == ("", message)
+
     def test_sweepless_config_refused_for_sweep(self, tmp_path):
         doc = {"params": {"n": 2, "r": 1.5, "alpha": 1 / 3, "beta": 1 / 3}}
         path = tmp_path / "nosweep.json"

@@ -184,6 +184,12 @@ class TestStep:
         with pytest.raises(IndexError):
             step(SystemState.all_defection(4), [4], params_r2, complete4)
 
+    @pytest.mark.parametrize("big", [4, 2**70, np.uint64(2**63)], ids=["4", "2**70", "uint64-2**63"])
+    def test_out_of_range_active_id_names_the_set(self, params_r2, complete4, big):
+        # ids too large for int64 get the same message, not numpy's OverflowError
+        with pytest.raises(IndexError, match=rf"active set \[0, {int(big)}\] out of range for n=4"):
+            step(SystemState.all_defection(4), [big, 0], params_r2, complete4)
+
     @pytest.mark.parametrize("bad", [1.7, True, "2", float("nan"), np.float64(1.0), None])
     def test_non_integer_active_id_is_named(self, params_r2, complete4, bad):
         with pytest.raises(ValueError, match=f"active ids must be integers, got {re.escape(repr(bad))}$"):

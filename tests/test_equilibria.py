@@ -389,6 +389,15 @@ class TestSweep:
                 seed=0,
             )
 
+    def test_unknown_schedule_kind_is_refused_before_any_cell(self, complete4):
+        # r = 5 > n makes every cell invalid, so no cell ever builds a schedule
+        with pytest.raises(ValueError, match="unknown schedule kind 'bogus'"):
+            sweep({"r": [5.0], "alpha": [1 / 3], "beta": [1 / 3]}, complete4, schedule_kind="bogus")
+
+    def test_one_node_network_is_refused_before_any_cell(self):
+        with pytest.raises(ValueError, match="schedules need n >= 2, got 1"):
+            sweep({"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3]}, Network(np.ones((1, 1))))
+
     def test_large_network_skips_enumeration_and_boundary_cells(self):
         # n = 17 is past ENUMERATION_MAX_N, and alpha + beta = 1 leaves lam = 0
         table = sweep(

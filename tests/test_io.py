@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coevo.cli import cli_main
 from coevo.dynamics import Trajectory, make_schedule, run
-from coevo.equilibria import check_all_defection_unique, enumerate_equilibria, verify_nash
+from coevo.equilibria import check_all_defection_unique, enumerate_equilibria
 from coevo.io import (
     atomic_write,
     best_response_to_jsonable,
@@ -18,7 +18,6 @@ from coevo.io import (
     emit_trajectory,
     format_real,
     load_trajectory,
-    nash_check_to_jsonable,
     render_json,
     render_trajectory_csv,
     render_trajectory_jsonl,
@@ -525,14 +524,6 @@ class TestJsonRendering:
         assert [p["player"] for p in doc["per_player"]] == [1, 2, 3, 4]
         assert doc["all_hold"] is True
         assert doc["condition_id"] == "all_defection_unique"
-
-    def test_nash_check_reports_one_based_deviator(self, params_r2, complete4):
-        doc = nash_check_to_jsonable(
-            verify_nash(SystemState.all_cooperation(4), params_r2, complete4)
-        )
-        assert doc["is_nash"] is False
-        assert doc["deviating_player"] == 1
-        assert doc["improving_response"] == {"action": 0, "opinion": 0.5}
 
     def test_best_response_document(self, params_r2, complete4):
         doc = best_response_to_jsonable(

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -394,6 +395,42 @@ def test_best_response_opinion_stays_in_unit_interval(data):
         for _, opinion in br.entries:
             assert 0.0 <= opinion <= 1.0
 
+
+
+#: Every entry point that takes a player index, called for player ``i`` of the
+#: n=4 game on opinions that tell the players apart.
+_Y = np.array([0.1, 0.4, 0.7, 0.9])
+
+
+def _best_response_pairs(i, params, net):
+    br = best_response(i, _Y, params, net)
+    return br.entries, br.discriminant_value
+
+
+PLAYER_ENTRY_POINTS = {
+    "pgg_payoff": lambda i, params, net: pgg_payoff(i, np.array([1, 0, 1, 0]), params),
+    "opinion_payoff": lambda i, params, net: opinion_payoff(i, _Y, params, net),
+    "total_payoff": lambda i, params, net: total_payoff(i, SystemState([1, 0, 1, 0], _Y), params, net),
+    "social_term": lambda i, params, net: social_term(i, _Y, net),
+    "discriminant": lambda i, params, net: discriminant(i, _Y, params, net),
+    "best_response": _best_response_pairs,
+}
+
+
+@pytest.mark.parametrize("entry", PLAYER_ENTRY_POINTS.values(), ids=PLAYER_ENTRY_POINTS)
+class TestPlayerIndex:
+    @pytest.mark.parametrize("bad", [1.7, True, "2", None, np.float64(1.0)])
+    def test_non_integer_is_named(self, entry, params_r2, complete4, bad):
+        with pytest.raises(ValueError, match=f"player index must be an integer, got {re.escape(repr(bad))}$"):
+            entry(bad, params_r2, complete4)
+
+    @pytest.mark.parametrize("i", [np.int64(2), np.uint8(2)])
+    def test_numpy_integers_are_integers(self, entry, params_r2, complete4, i):
+        assert entry(i, params_r2, complete4) == entry(2, params_r2, complete4)
+
+    def test_out_of_range_is_an_index_error(self, entry, params_r2, complete4):
+        with pytest.raises(IndexError, match="player index 4 out of range for n=4"):
+            entry(4, params_r2, complete4)
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
