@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .dynamics import classify_state, run
+from .dynamics import _ended, _run_blocks, classify_state
 from .equilibria import (
     ENUMERATION_MAX_N,
     check_all_cooperation_exists,
@@ -31,10 +31,11 @@ from .io import (
     equilibrium_report_to_jsonable,
     render_json,
     sweep_table_to_jsonable,
+    trajectory_chunks,
     write_json,
     write_sliced,
 )
-from .model import _state_fault, best_response
+from .model import SystemState, _state_fault, best_response
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
     if out is None:
         write_sliced(sys.stdout, text)
     else:
@@ -118,21 +119,17 @@ def _cmd_validate(args, cfg) -> int:
 
 
 def _cmd_simulate(args, cfg) -> int:
-    traj = run(
-        cfg.initial_state,
-        cfg.schedule,
-        cfg.params,
-        cfg.network,
-        max_steps=cfg.max_steps,
-        fixed_point_tol=cfg.fixed_point_tol,
-    )
-    render, _ = TRAJECTORY_FORMATS[args.format]
-    _emit(render(traj), args.out)
+    # each block of rows is written as the run yields it: memory does not grow with the steps
+    end: list = []
+    blocks = _run_blocks(cfg.initial_state, cfg.schedule, cfg.params, cfg.network,
+                         cfg.max_steps, cfg.fixed_point_tol, record=True)
+    _emit(trajectory_chunks(_ended(blocks, end), cfg.params.n, args.format), args.out)
+    x, y, steps, stop_reason, stop_detail = end
     if not args.quiet:
-        cls = classify_state(traj.final)
-        detail = f" ({traj.stop_detail})" if traj.stop_detail else ""
+        cls = classify_state(SystemState(x, y))
+        detail = f" ({stop_detail})" if stop_detail else ""
         print(
-            f"stopped after {len(traj) - 1} steps: {traj.stop_reason}{detail}; "
+            f"stopped after {steps} steps: {stop_reason}{detail}; "
             f"final class: {cls.full_class}",
             file=sys.stderr,
         )

@@ -11,6 +11,7 @@ the convergence analysis assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -236,6 +237,110 @@ def _check_tolerance(tol, field: str = "fixed_point_tol") -> None:
         raise ValueError(f"{field} must be finite and positive, got {tol}")
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block: about 2**16 cells, at most 1024 rows (each row's text outweighs a few cells)."""
+    return max(1, 65536 // max(n, 64))
+
+
+def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelParams,
+                net: Network, max_steps: int, fixed_point_tol: float, record: bool):
+    """The loop of ``run`` as a generator; ``run`` states its stopping rules.
+
+    With ``record`` it yields the rows in freshly allocated blocks of at most
+    ``_block_rows(n)``: ``(x, y, active, potentials)``, with ``(rows, n)`` int8
+    actions and float64 opinions, each row's active set (``()`` for row 0) and
+    the rows' potentials, or None where undefined. Returns the final actions
+    and opinions, the steps taken, and the stop reason and detail.
+    """
+    _check_sizes(params, net, initial)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_tolerance(fixed_point_tol)
+    if schedule.n != params.n:
+        raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
+
+    n = params.n
+    x = initial.x.astype(np.int8)
+    y = np.array(initial.y)
+    # the potentials' n-by-n term buffer carries from one block to the next
+    buf = np.empty((n, n)) if record and _potential_fault(params) is None else None
+    if record:
+        B = _block_rows(n)
+        X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
+        X[0], Y[0] = x, y
+
+    def block(X, Y, keys):
+        return X, Y, keys, None if buf is None else _potentials(Y, keys, params, net, buf)
+
+    # schedules repeat a few distinct sets, each one player or everyone: keep
+    # each one's slice, influence rows and revision terms, so a step is one
+    # matvec and the best response, in float arithmetic for one player (whose
+    # terms are Python floats) and elementwise for everyone
+    prepared: dict[tuple[int, ...], tuple] = {}
+
+    lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
+    window = schedule.stability_window
+    streak = 0
+    stop_reason = "max_steps"
+    stop_detail = ""
+    sets_iter = schedule.sets()
+    for steps in range(1, max_steps + 1):
+        key = next(sets_iter)
+        entry = prepared.get(key)
+        if entry is None:
+            idx = slice(key[0], key[-1] + 1)
+            terms = _revision_terms(params, idx)
+            entry = prepared[key] = (idx, net.W[idx], terms.item() if len(key) == 1 else terms)
+        idx, rows_w, terms = entry
+        s, y_raw = _revise(y, rows_w, terms)
+        one = len(key) == 1
+        # NaN fails every comparison, so non-finite updates trip the guard too
+        if not ((lo <= y_raw <= hi) if one else (y_raw.min() >= lo and y_raw.max() <= hi)):
+            raw = np.atleast_1d(y_raw)
+            bad = int(np.argmax(~((raw >= lo) & (raw <= hi))))
+            stop_reason = "divergence_guard"
+            stop_detail = f"player {key[bad] + 1}: raw opinion {float(raw[bad])!r}"
+            steps -= 1
+            break
+        # inactive coordinates are untouched, so they contribute exactly 0; a
+        # changed action moves by exactly 1
+        if one:
+            i = key[0]
+            y_new = min(max(y_raw, 0.0), 1.0)  # keeps -0.0, as ndarray.clip does
+            change = max(abs(y_new - y.item(i)), float(s != x.item(i)))
+            x[i] = s
+            y[i] = y_new
+        else:
+            # the array methods skip the module functions' dispatch layers
+            y_active = y_raw.clip(0.0, 1.0)
+            change = max(
+                float(np.abs(y_active - y[idx]).max()),
+                float((s != x[idx]).any()),
+            )
+            x[idx] = s
+            y[idx] = y_active
+        if record:
+            if k == B:
+                yield block(X, Y, keys)
+                X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [], 0
+            X[k] = x
+            Y[k] = y
+            keys.append(key)
+            k += 1
+        streak = streak + 1 if change <= fixed_point_tol else 0
+        if streak >= window:
+            stop_reason = "fixed_point"
+            break
+    if record:
+        yield block(X[:k], Y[:k], keys)
+    return x, y, steps, stop_reason, stop_detail
+
+
+def _ended(gen, end: list):
+    """Yield what the generator ``gen`` yields, then set ``end`` to what it returns."""
+    end[:] = yield from gen
+
+
 def run(
     initial: SystemState,
     schedule: RevisionSchedule,
@@ -264,82 +369,13 @@ def run(
     only the final state is kept and no potential is computed, so memory does
     not grow with ``max_steps``.
     """
-    _check_sizes(params, net, initial)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    _check_tolerance(fixed_point_tol)
-    if schedule.n != params.n:
-        raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
-
-    x = initial.x.astype(np.int8)
-    y = np.array(initial.y)
-    # recorded rows are copies, stacked once after the loop
-    xs, ys = ([x.copy()], [y.copy()]) if record else ([], [])
-    active_sets: list[tuple[int, ...]] = []
-    # schedules repeat a few distinct sets, each one player or everyone: keep
-    # each one's slice, influence rows and revision terms, so a step is one
-    # matvec and the best response, in float arithmetic for one player (whose
-    # terms are Python floats) and elementwise for everyone
-    prepared: dict[tuple[int, ...], tuple] = {}
-
-    lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
-    window = schedule.stability_window
-    streak = 0
-    stop_reason = "max_steps"
-    stop_detail = ""
-    sets_iter = schedule.sets()
-    for _ in range(max_steps):
-        key = next(sets_iter)
-        entry = prepared.get(key)
-        if entry is None:
-            idx = slice(key[0], key[-1] + 1)
-            terms = _revision_terms(params, idx)
-            entry = prepared[key] = (idx, net.W[idx], terms.item() if len(key) == 1 else terms)
-        idx, rows_w, terms = entry
-        s, y_raw = _revise(y, rows_w, terms)
-        one = len(key) == 1
-        # NaN fails every comparison, so non-finite updates trip the guard too
-        if not ((lo <= y_raw <= hi) if one else (y_raw.min() >= lo and y_raw.max() <= hi)):
-            raw = np.atleast_1d(y_raw)
-            bad = int(np.argmax(~((raw >= lo) & (raw <= hi))))
-            stop_reason = "divergence_guard"
-            stop_detail = f"player {key[bad] + 1}: raw opinion {float(raw[bad])!r}"
-            break
-        # inactive coordinates are untouched, so they contribute exactly 0; a
-        # changed action moves by exactly 1
-        if one:
-            i = key[0]
-            y_new = min(max(y_raw, 0.0), 1.0)  # keeps -0.0, as ndarray.clip does
-            change = max(abs(y_new - y.item(i)), float(s != x.item(i)))
-            x[i] = s
-            y[i] = y_new
-        else:
-            # the array methods skip the module functions' dispatch layers
-            y_active = y_raw.clip(0.0, 1.0)
-            change = max(
-                float(np.abs(y_active - y[idx]).max()),
-                float((s != x[idx]).any()),
-            )
-            x[idx] = s
-            y[idx] = y_active
-        if record:
-            xs.append(x.copy())
-            ys.append(y.copy())
-            active_sets.append(key)
-        streak = streak + 1 if change <= fixed_point_tol else 0
-        if streak >= window:
-            stop_reason = "fixed_point"
-            break
-    X, Y = (np.stack(xs), np.stack(ys)) if record else (x[None, :], y[None, :])
-    defined = record and _potential_fault(params) is None
-    return Trajectory(
-        x=X,
-        y=Y,
-        active_sets=tuple(active_sets),
-        potentials=_potentials(Y, active_sets, params, net) if defined else None,
-        stop_reason=stop_reason,
-        stop_detail=stop_detail,
-    )
+    end: list = []
+    blocks = list(_ended(_run_blocks(initial, schedule, params, net, max_steps, fixed_point_tol, record), end))
+    x, y, _, stop_reason, stop_detail = end
+    X, Y, keys, pots = zip(*blocks) if blocks else ((x[None, :],), (y[None, :],), ((),), (None,))
+    potentials = None if pots[0] is None else np.concatenate(pots)
+    active_sets = tuple(chain.from_iterable(keys))[1:]
+    return Trajectory(np.concatenate(X), np.concatenate(Y), active_sets, potentials, stop_reason, stop_detail)
 
 
 def is_fixed_point(
@@ -383,30 +419,29 @@ def potential(y, params: ModelParams, net: Network) -> float:
     if fault is not None:
         raise ValueError(fault)
     y = _check_vector("opinion vector", y, params.n)
-    return float(_potentials(y[None, :], (), params, net)[0])
+    return float(_potentials(y[None, :], ((),), params, net, np.empty((params.n, params.n)))[0])
 
 
-def _potentials(Y: np.ndarray, active_sets, params: ModelParams, net: Network) -> np.ndarray:
-    """``potential`` of every row of ``Y``, where ``active_sets[t]`` revised row t into row t+1.
+def _potentials(Y: np.ndarray, keys, params: ModelParams, net: Network, buf: np.ndarray) -> np.ndarray:
+    """``potential`` of every row of ``Y``, where ``keys[t]`` revised the row before into row t.
 
-    The terms ``W/2 * (y_i - y_j)^2`` live in one n-by-n buffer, in the operations
-    and order of ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``. Row 0
-    and rows that every player revised refresh all terms; any other row rewrites
-    only its active players' rows and columns, the only terms that changed.
+    The terms ``W/2 * (y_i - y_j)^2`` live in the n-by-n ``buf``, in the operations
+    and order of ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``. A row
+    that one player revised rewrites only that player's row and column of the
+    row before's terms, the only ones that changed; any other row refreshes all.
     """
     half_w = net.W / 2.0
     anchor_w = params.lam / params.beta
-    buf = np.empty_like(half_w)
     out = np.empty(len(Y))
-    for t, y in enumerate(Y):
-        if t == 0 or len(active_sets[t - 1]) == params.n:
+    for t, (y, key) in enumerate(zip(Y, keys)):
+        if len(key) == 1:
+            i = key[0]
+            buf[i] = half_w[i] * np.square(y[i] - y)
+            buf[:, i] = half_w[:, i] * np.square(y - y[i])
+        else:
             np.subtract(y[:, None], y[None, :], out=buf)
             np.square(buf, out=buf)
             np.multiply(half_w, buf, out=buf)
-        else:
-            for i in active_sets[t - 1]:
-                buf[i] = half_w[i] * np.square(y[i] - y)
-                buf[:, i] = half_w[:, i] * np.square(y - y[i])
         out[t] = -0.5 * (float(buf.sum()) + float((anchor_w * y**2).sum()))
     return out
 

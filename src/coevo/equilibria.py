@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .model import (
     SystemState,
     _check_actions,
     _check_sizes,
+    _is_int,
     _revision,
     _revision_terms,
     _stationarity,
@@ -397,8 +399,15 @@ def sweep(
     missing = {"r", "alpha", "beta"} - set(grid)
     if missing:
         raise ValueError(f"grid is missing axes {sorted(missing)}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    trials, seed = int(trials), int(seed)
+    for axis in ("r", "alpha", "beta"):
+        for v in grid[axis]:
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(f"grid axis {axis}: values must be real numbers, got {v!r}")
     _check_tolerance(fixed_point_tol)
     n = net.n
     # the schedule refuses an unknown kind or n < 2 before any cell runs
@@ -408,11 +417,7 @@ def sweep(
             "within a fixed window; convergence conclusions do not apply to it",
             stacklevel=2,
         )
-    rs = [float(v) for v in grid["r"]]
-    alphas = [float(v) for v in grid["alpha"]]
-    betas = [float(v) for v in grid["beta"]]
-
-    cell_specs = list(itertools.product(rs, alphas, betas))
+    cell_specs = list(itertools.product(*([float(v) for v in grid[axis]] for axis in ("r", "alpha", "beta"))))
     master = np.random.SeedSequence(seed)
     cell_seqs = master.spawn(len(cell_specs))
 
@@ -451,15 +456,7 @@ def sweep(
             schedule = make_schedule(
                 schedule_kind, n, seed=int(rng.integers(2**63 - 1))
             )
-            traj = run(
-                initial,
-                schedule,
-                params,
-                net,
-                max_steps=max_steps,
-                fixed_point_tol=fixed_point_tol,
-                record=False,
-            )
+            traj = run(initial, schedule, params, net, max_steps, fixed_point_tol, record=False)
             label = classify_state(traj.final).full_class
             counts[label] = counts.get(label, 0) + 1
         freqs = {label: count / trials for label, count in sorted(counts.items())}

@@ -30,15 +30,16 @@ def format_real(v: float) -> str:
 _WRITE_SLICE = 1 << 20
 
 
-def write_sliced(f, text: str) -> None:
-    """Write ``text`` to the text stream ``f`` in slices of ``_WRITE_SLICE``
-    characters, so only one slice at a time is held encoded, never the whole text."""
-    for start in range(0, len(text), _WRITE_SLICE):
-        f.write(text[start : start + _WRITE_SLICE])
+def write_sliced(f, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to the text stream ``f``
+    in slices of ``_WRITE_SLICE`` characters, so only one slice at a time is held encoded."""
+    for chunk in (text,) if isinstance(text, str) else text:
+        for start in range(0, len(chunk), _WRITE_SLICE):
+            f.write(chunk[start : start + _WRITE_SLICE])
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write the full text, then rename into place; readers never see partials."""
+def atomic_write(path: str, text) -> None:
+    """Write all of ``text``, as ``write_sliced`` takes it, then rename into place; readers never see partials."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -51,74 +52,92 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _row_cells(traj: Trajectory, opinion_text):
-    """Each row's cells in the CSV columns ``[t, active, x_1..x_n, y_1..y_n,
-    potential]``, as one list updated in place; the caller fills t, active and
-    potential. Only the actions and opinions whose bits changed since the row
-    before are re-formatted, with ``str`` and ``opinion_text``; bits tell -0.0
-    from 0.0. One ``np.nonzero`` per kind of cell finds the changes of all rows,
-    and ``searchsorted`` locates each row's share.
+def trajectory_chunks(blocks, n: int, format: str):
+    """The text of ``blocks`` of one row or more, as ``dynamics.run``'s loop yields
+    them, in one of the ``TRAJECTORY_FORMATS``: one piece per block, the CSV header
+    in the first. No blocks render as the header line alone, or a lone newline.
+
+    Each row's cells in the CSV columns ``[t, active, x_1..x_n, y_1..y_n,
+    potential]`` are one list updated in place; the format's line function
+    fills t, active and potential. Only the actions and opinions whose bits
+    changed since the row before, in this block or the one before, are
+    re-formatted; bits tell -0.0 from 0.0. One ``np.nonzero`` per kind of cell
+    finds a block's changes, and ``searchsorted`` locates each row's share.
     """
-    X, Y = traj.x, traj.y
-    rows, n = X.shape
-    if not rows:
-        return
-    cells = ["", "", *map(str, X[0].tolist()), *map(opinion_text, Y[0].tolist()), ""]
-    yield cells
-    # per kind of cell: the column and value of every changed cell in row
-    # order, and where each row's changes start
-    changes = []
-    y_bits = np.ascontiguousarray(Y).view(np.int64)
-    for values, bits, text, first_column in ((X, X, str, 2), (Y, y_bits, opinion_text, 2 + n)):
-        row, player = np.nonzero(bits[1:] != bits[:-1])
-        changes.append((
-            (player + first_column).tolist(),
-            values[1:][row, player].tolist(),
-            text,
-            np.searchsorted(row, np.arange(rows)),
-        ))
-    for t in range(1, rows):
-        for cols, vals, text, starts in changes:
-            for k in range(starts[t - 1], starts[t]):
-                cells[cols[k]] = text(vals[k])
-        yield cells
+    opinion_text, line, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
+    # the header waits for the first row, so a run that fails at once writes nothing
+    header = ",".join(["t", "active", *(f"{v}_{i}" for v in "xy" for i in range(1, n + 1)), "potential"])
+    lines = [header] if format == "csv" else []
+    cells, t = None, 0
+    for X, Y, keys, pots in blocks:
+        rows = len(X)
+        y_bits = np.ascontiguousarray(Y).view(np.int64)
+        if cells is None:
+            cells = ["", "", *map(str, X[0].tolist()), *map(opinion_text, Y[0].tolist()), ""]
+            before = X[:1], y_bits[:1]  # row 0 is compared with itself
+        # per kind of cell: the column and value of every changed cell in row
+        # order, and where each row's changes start
+        changes = []
+        for values, bits, last, text, first_column in (
+            (X, X, before[0], str, 2),
+            (Y, y_bits, before[1], opinion_text, 2 + n),
+        ):
+            row, player = np.nonzero(bits != np.concatenate((last, bits[:-1])))
+            changes.append((
+                (player + first_column).tolist(),
+                values[row, player].tolist(),
+                text,
+                np.searchsorted(row, np.arange(rows + 1)).tolist(),
+            ))
+        for r in range(rows):
+            for cols, vals, text, starts in changes:
+                for k in range(starts[r], starts[r + 1]):
+                    cells[cols[k]] = text(vals[k])
+            lines.append(line(t, keys[r], None if pots is None else pots[r], cells))
+            t += 1
+        before = X[-1:], y_bits[-1:]
+        # an empty last line ends the text with a newline without a second copy
+        lines.append("")
+        yield "\n".join(lines)
+        lines = []
+    if cells is None:
+        yield header + "\n" if format == "csv" else "\n"
+
+
+def _csv_line(t, active, pot, cells) -> str:
+    cells[0] = str(t)
+    cells[1] = ";".join(str(i + 1) for i in active)
+    if pot is not None:
+        cells[-1] = format_real(pot)
+    return ",".join(cells)
+
+
+def _jsonl_line(t, active, pot, cells) -> str:
+    n = (len(cells) - 3) // 2
+    active = ", ".join(str(i + 1) for i in active)
+    pot = "null" if pot is None else json.dumps(float(pot))
+    x, y = ", ".join(cells[2 : 2 + n]), ", ".join(cells[2 + n : -1])
+    return f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x}], "y": [{y}]}}'
+
+
+def _blocks(traj: Trajectory) -> list:
+    """A trajectory as the blocks of rows that ``trajectory_chunks`` reads: one, or none if it is empty."""
+    return [(traj.x, traj.y, ((), *traj.active_sets), traj.potentials)] if len(traj) else []
 
 
 def render_trajectory_csv(traj: Trajectory) -> str:
     """CSV rows: t, active (semicolon-joined 1-based ids of the revision that
     produced this row's state; empty at t=0), x_1..x_n, y_1..y_n, potential.
     An empty trajectory renders as the header line alone."""
-    pots = traj.potentials
-    ids = range(1, traj.x.shape[1] + 1)
-    header = ["t", "active", *(f"x_{i}" for i in ids), *(f"y_{i}" for i in ids), "potential"]
-    lines = [",".join(header)]
-    for t, cells in enumerate(_row_cells(traj, format_real)):
-        cells[0] = str(t)
-        cells[1] = ";".join(str(i + 1) for i in traj.active_sets[t - 1]) if t else ""
-        if pots is not None:
-            cells[-1] = format_real(pots[t])
-        lines.append(",".join(cells))
-    # an empty last line ends the text with a newline without a second copy
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(trajectory_chunks(_blocks(traj), traj.x.shape[1], "csv"))
 
 
 def render_trajectory_jsonl(traj: Trajectory) -> str:
     """One JSON object per recorded state, same fields as the CSV columns, as
     ``json.dumps(row, sort_keys=True)`` prints it: every cell is printed by
-    ``json.dumps``, so NaN, Infinity and -0.0 read the same."""
-    pots = traj.potentials
-    n = traj.x.shape[1]
-    lines = []
-    for t, cells in enumerate(_row_cells(traj, json.dumps)):
-        active = ", ".join(str(i + 1) for i in traj.active_sets[t - 1]) if t else ""
-        pot = "null" if pots is None else json.dumps(float(pots[t]))
-        x, y = ", ".join(cells[2 : 2 + n]), ", ".join(cells[2 + n : -1])
-        lines.append(f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x}], "y": [{y}]}}')
-    # the empty last entry ends the text with a newline in the one join; an
-    # empty trajectory renders as a lone newline
-    lines.append("")
-    return "\n".join(lines) or "\n"
+    ``json.dumps``, so NaN, Infinity and -0.0 read the same. An empty
+    trajectory renders as a lone newline."""
+    return "".join(trajectory_chunks(_blocks(traj), traj.x.shape[1], "json-lines"))
 
 
 def format_entry(table: dict, kind: str, format: str):
@@ -130,8 +149,7 @@ def format_entry(table: dict, kind: str, format: str):
 
 def emit_trajectory(traj: Trajectory, path: str, format: str = "csv") -> None:
     """Write a trajectory to ``path`` in one of the ``TRAJECTORY_FORMATS``."""
-    render, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
-    atomic_write(path, render(traj))
+    atomic_write(path, trajectory_chunks(_blocks(traj), traj.x.shape[1], format))
 
 
 def load_trajectory(path: str, format: str = "csv") -> Trajectory:
@@ -144,7 +162,7 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     Files do not carry the in-memory stop reason, so the result's stop_reason
     is "unknown".
     """
-    _, decode = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
+    *_, decode = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
     xs, ys, linenos, actives, pots = [], [], [], [], None
     with open(path, encoding="utf-8") as f:
         rows = decode(path, ((k, line) for k, line in enumerate(f, start=1) if line.strip()))
@@ -269,13 +287,14 @@ def _json_number(value) -> float:
     return float(value)
 
 
-#: Trajectory file format name -> (render to text, rows). ``rows(path, lines)``
+#: Trajectory file format name -> (opinion text, line, rows). ``line(t, active,
+#: potential, cells)`` is one row's text for ``trajectory_chunks``. ``rows(path, lines)``
 #: reads numbered non-blank lines and yields the header's player count (None
 #: without a header), then ``(lineno, t, active, x, y, potential or None)`` with
 #: ``t`` an int, ``active`` a tuple of 0-based ids and the potential a float.
 TRAJECTORY_FORMATS = {
-    "csv": (render_trajectory_csv, _csv_rows),
-    "json-lines": (render_trajectory_jsonl, _jsonl_rows),
+    "csv": (format_real, _csv_line, _csv_rows),
+    "json-lines": (json.dumps, _jsonl_line, _jsonl_rows),
 }
 
 

@@ -77,6 +77,8 @@ class ModelParams:
     prejudice: np.ndarray
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         n = int(self.n)
         if n < 2:
             raise ValueError(f"need at least 2 players, got n={n}")

@@ -1,5 +1,7 @@
 import itertools
 import re
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -649,6 +651,11 @@ def _exact_values(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _block_rows(rows):
+    """Run's loop with ``rows`` rows per block, or its default for None."""
+    return nullcontext() if rows is None else mock.patch.object(dynamics_module, "_block_rows", lambda n: rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -657,15 +664,17 @@ def _exact_values(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
     st.sampled_from(("interior", "prejudiced", "tied", "edge")),
     st.sampled_from(("random", "exact", "cooperation")),
     st.integers(1, 300),
+    st.sampled_from((None, 1, 2, 7)),
 )
-def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max_steps):
+def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max_steps, block_rows):
     # oracle for the in-place loop, which revises one player in float
     # arithmetic and everyone in array arithmetic: every recorded row is one
     # validated step() of the row before, bit for bit, and every potential is
     # the public potential() of its row. The random sparse network has self-loops;
     # "tied" and "edge" put all-cooperation's discriminant at 0 and at
     # -DISCRIMINANT_TIE_TOL; "exact" sets some opinions and prejudices to
-    # exactly 0.0, -0.0 or 1.0.
+    # exactly 0.0, -0.0 or 1.0. A block_rows of 1, 2 or 7 spreads the rows,
+    # and the potentials' term buffer, over many blocks of the run's loop.
     rng = np.random.default_rng(seed)
     if shape == "dense":
         n = int(rng.integers(2, 8))
@@ -696,7 +705,8 @@ def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max
     elif start == "cooperation":
         initial = SystemState.all_cooperation(n)
     schedule = make_schedule(kind, n, seed=seed)
-    traj = run(initial, schedule, params, net, max_steps=max_steps)
+    with _block_rows(block_rows):
+        traj = run(initial, schedule, params, net, max_steps=max_steps)
     states = traj.states
     assert states[0] == initial
     assert len(traj.active_sets) == len(states) - 1
@@ -726,15 +736,17 @@ def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max
     st.sampled_from(("ring", "grid", "random")),
     st.integers(12, 40),
     st.integers(1, 250),
+    st.sampled_from((None, 1, 2, 7)),
 )
-def test_recorded_potentials_match_full_evaluation(seed, kind, shape, n, max_steps):
+def test_recorded_potentials_match_full_evaluation(seed, kind, shape, n, max_steps, block_rows):
     # n >= 12 puts the n^2 terms past numpy's 128-element pairwise-sum block,
     # where a term refreshed out of place would show in the low bits
     rng = np.random.default_rng(seed)
     params = random_interior_params(rng, n)
     net = _sparse_network(rng, shape, n)
     schedule = make_schedule(kind, n, seed=seed)
-    traj = run(random_state(rng, n), schedule, params, net, max_steps=max_steps)
+    with _block_rows(block_rows):
+        traj = run(random_state(rng, n), schedule, params, net, max_steps=max_steps)
     assert traj.potentials is not None
     for y, recorded in zip(traj.y, traj.potentials):
         assert recorded == potential(y, params, net)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from coevo.dynamics import (
     run,
     step,
 )
+import coevo.equilibria as equilibria_module
 from coevo.equilibria import (
     CONDITION_ALL_COOPERATION_EXISTS,
     CONDITION_ALL_DEFECTION_UNIQUE,
@@ -27,6 +29,7 @@ from coevo.equilibria import (
     sweep,
     verify_nash,
 )
+from coevo.io import render_json, sweep_table_to_jsonable
 from coevo.model import (
     DISCRIMINANT_TIE_TOL,
     ModelParams,
@@ -418,6 +421,46 @@ class TestSweep:
     def test_missing_grid_axis_rejected(self, complete4):
         with pytest.raises(ValueError, match="grid"):
             sweep({"r": [2.0], "alpha": [1 / 3]}, complete4)
+
+    @pytest.mark.parametrize(
+        "argument,message",
+        [
+            ({"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+            ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+            ({"r": [2.0, "2.5"]}, "grid axis r: values must be real numbers, got '2.5'"),
+            ({"alpha": [True]}, "grid axis alpha: values must be real numbers, got True"),
+            ({"beta": [None]}, "grid axis beta: values must be real numbers, got None"),
+        ],
+    )
+    def test_bad_argument_is_named_before_any_cell(self, complete4, monkeypatch, argument, message):
+        # float() would read "2.5" and True as numbers, and numpy would refuse
+        # the trials and seeds with messages that name no argument
+        monkeypatch.setattr(equilibria_module, "check_all_defection_unique", _no_cell)
+        grid = {"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3]}
+        axes = {k: v for k, v in argument.items() if k in grid}
+        options = {k: v for k, v in argument.items() if k not in grid}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep({**grid, **axes}, complete4, max_steps=50, **options)
+
+    def test_numpy_numbers_are_accepted(self, complete4):
+        grid = {"r": [2.0, 3.5], "alpha": [0.25], "beta": [0.5]}
+        want = sweep(grid, complete4, trials=3, seed=4, max_steps=200)
+        got = sweep(
+            {"r": [np.float64(2.0), np.int64(3.5 * 2) / 2], "alpha": [np.float32(0.25)], "beta": [0.5]},
+            complete4,
+            trials=np.int64(3),
+            seed=np.uint8(4),
+            max_steps=200,
+        )
+        assert got == want
+        # the table holds Python numbers, so it renders as the Python-typed one does
+        assert render_json(sweep_table_to_jsonable(got)) == render_json(sweep_table_to_jsonable(want))
+
+
+def _no_cell(*args, **kwargs):
+    raise AssertionError("a sweep cell ran")
 
 
 class TestRegimeInstanceGenerators:

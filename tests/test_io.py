@@ -2,13 +2,18 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coevo.dynamics as dynamics_module
 from coevo.cli import cli_main
+from coevo.config import load_config
 from coevo.dynamics import Trajectory, make_schedule, run
 from coevo.equilibria import check_all_defection_unique, enumerate_equilibria
 from coevo.io import (
@@ -608,8 +613,27 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name,fmt", sorted(GOLDEN_DIGESTS))
-def test_outputs_match_recorded_digests(name, fmt, tmp_path, capsys):
+#: Rows per block that ``simulate`` renders at a time: the default for n, and
+#: sizes that put block boundaries at every row, every second and every seventh.
+BLOCK_ROWS = (None, 1, 2, 7)
+
+
+def _set_block_rows(monkeypatch, rows) -> None:
+    if rows is not None:
+        monkeypatch.setattr(dynamics_module, "_block_rows", lambda n: rows)
+
+
+#: Each golden output at every block size; the default size keeps the plain id.
+GOLDEN_CASES = [
+    pytest.param(name, fmt, rows, id=f"{name}-{fmt}" + ("" if rows is None else f"-rows{rows}"))
+    for name, fmt in sorted(GOLDEN_DIGESTS)
+    for rows in BLOCK_ROWS
+]
+
+
+@pytest.mark.parametrize("name,fmt,rows", GOLDEN_CASES)
+def test_outputs_match_recorded_digests(name, fmt, rows, tmp_path, capsys, monkeypatch):
+    _set_block_rows(monkeypatch, rows)
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(GOLDEN_CONFIGS[name]))
     out = tmp_path / "trajectory"
@@ -619,6 +643,65 @@ def test_outputs_match_recorded_digests(name, fmt, tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_library_run_and_render_write_the_simulate_bytes(name, rows, tmp_path, monkeypatch):
+    # the benchmark's replay rebuilds simulate's file from the library as
+    # atomic_write(path, render_trajectory_csv(run(...))) and counts any byte
+    # difference from the CLI's file as a failed call
+    _set_block_rows(monkeypatch, rows)
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(GOLDEN_CONFIGS[name]))
+    cfg = load_config(str(config))
+    traj = run(
+        cfg.initial_state,
+        cfg.schedule,
+        cfg.params,
+        cfg.network,
+        max_steps=cfg.max_steps,
+        fixed_point_tol=cfg.fixed_point_tol,
+    )
+    for fmt, render in (("csv", render_trajectory_csv), ("json-lines", render_trajectory_jsonl)):
+        library, out = tmp_path / f"library.{fmt}", tmp_path / f"cli.{fmt}"
+        atomic_write(str(library), render(traj))
+        assert cli_main(["simulate", str(config), "--format", fmt, "--quiet", "--out", str(out)]) == 0
+        assert library.read_bytes() == out.read_bytes()
+    assert states_equal(load_trajectory(str(out), format="json-lines"), traj)
+
+
+def _simulate_peak_kib(config: Path, out: Path) -> int:
+    """Peak resident memory in KiB of a fresh interpreter that runs ``coevo simulate --out`` once.
+
+    This is the process's own high-water mark (``VmHWM``). ``ru_maxrss`` would
+    be the same number, except that Linux carries it over from the process
+    that forked the interpreter, here the larger test runner.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from coevo.cli import cli_main; "
+        "assert cli_main(sys.argv[1:]) == 0; "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+    )
+    argv = ["simulate", str(config), "--out", str(out), "--quiet"]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_simulate_memory_does_not_grow_with_max_steps(tmp_path):
+    # the two-cycle instance flips its actions every step, so it always runs
+    # to its budget: 100 times the steps must not take 100 times the memory
+    peaks = []
+    for max_steps in (400, 40_000):
+        config = tmp_path / f"two-cycle-{max_steps}.json"
+        config.write_text(json.dumps({**GOLDEN_CONFIGS["two-cycle-synchronous"], "run": {"max_steps": max_steps}}))
+        out = tmp_path / f"two-cycle-{max_steps}.csv"
+        peaks.append(_simulate_peak_kib(config, out))
+        assert out.read_bytes().count(b"\n") == max_steps + 2  # the header and every row
+    assert peaks[1] - peaks[0] < 2 * 1024, f"ru_maxrss grew from {peaks[0]} to {peaks[1]} KiB"
 
 
 #: A synchronous sweep whose trials include 2-cycles that run until

@@ -76,6 +76,21 @@ class TestModelParams:
         with pytest.raises(ValueError, match="at least 2"):
             ModelParams.uniform(1, 0.5, 1 / 3, 1 / 3, 1 / 3)
 
+    @staticmethod
+    def _four_players(n) -> ModelParams:
+        third = np.full(4, 1 / 3)
+        return ModelParams(n=n, r=2.0, alpha=third, beta=third, lam=third, gamma=np.zeros(4), prejudice=third)
+
+    @pytest.mark.parametrize("n", [4.9, 4.0, "4", True, np.float64(4.0)])
+    def test_player_count_must_be_an_integer(self, n):
+        # int() would truncate 4.9 and parse "4" into a 4-player game
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            self._four_players(n)
+
+    def test_numpy_integer_player_count_is_accepted(self):
+        p = self._four_players(np.int64(4))
+        assert p.n == 4 and type(p.n) is int
+
     def test_arrays_are_read_only(self):
         p = ModelParams.uniform(2, 1.5, 1 / 3, 1 / 3, 1 / 3)
         with pytest.raises(ValueError):
