@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import RevisionSchedule, _check_tolerance, make_schedule
+from .dynamics import RevisionSchedule, _check_limits, make_schedule
 from .model import ModelParams, Network, SystemState
 from . import networks
 
@@ -289,7 +289,7 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     fixed_point_tol = run.number("fixed_point_tol", 1e-10)
     run.done()
     try:
-        _check_tolerance(fixed_point_tol, "run.fixed_point_tol")
+        _check_limits(max_steps, fixed_point_tol, "run.")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

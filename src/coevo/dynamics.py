@@ -231,10 +231,13 @@ class Trajectory:
         return self.x.shape[0]
 
 
-def _check_tolerance(tol, field: str = "fixed_point_tol") -> None:
-    """Refuse a NaN, infinite, zero or negative stopping tolerance."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{field} must be finite and positive, got {tol}")
+def _check_limits(max_steps, tol, prefix: str = "") -> None:
+    """Refuse a step budget that is not an integer >= 1, and a bool, NaN, infinite,
+    zero or negative stopping tolerance; ``prefix`` leads each field name."""
+    if not (_is_int(max_steps) and max_steps >= 1):
+        raise ValueError(f"{prefix}max_steps must be an integer >= 1, got {max_steps!r}")
+    if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{prefix}fixed_point_tol must be finite and positive, got {tol}")
 
 
 def _block_rows(n: int) -> int:
@@ -253,9 +256,7 @@ def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelP
     and opinions, the steps taken, and the stop reason and detail.
     """
     _check_sizes(params, net, initial)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    _check_tolerance(fixed_point_tol)
+    _check_limits(max_steps, fixed_point_tol)
     if schedule.n != params.n:
         raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
 

@@ -10,6 +10,9 @@ players:
   coupling beta*lam/(beta+lam) is at most 2*alpha*(1 - r/n);
 * all-cooperation consensus (1, 1) is also an equilibrium when that coupling
   strictly exceeds the same threshold for every player;
+* both conditions are the sign of one number, the discriminant at (1, 1),
+  decided like every tie here: within ``DISCRIMINANT_TIE_TOL`` of zero counts
+  as zero, and a zero discriminant defects;
 * for a frozen action profile the stationary opinions solve a linear system
   that is uniquely solvable whenever every lam is positive.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from .dynamics import (
     StateClass,
-    _check_tolerance,
+    _check_limits,
     classify_state,
     make_schedule,
     run,
@@ -62,9 +65,9 @@ class ConditionReport:
     """Per-player evaluation of one of the two consensus conditions.
 
     Each per_player row is (lhs, rhs, holds) with lhs = beta*lam/(beta+lam)
-    and rhs = 2*alpha*(1 - r/n). The defection-uniqueness condition holds at
-    lhs <= rhs; the cooperation-existence condition needs strict lhs > rhs,
-    so on the boundary lhs = rhs the first holds and the second does not.
+    and rhs = 2*alpha*(1 - r/n). ``holds`` is the sign of (lhs - rhs)/2, the
+    discriminant at (1, 1), under the tie band: on the boundary defection
+    uniqueness holds and cooperation existence does not.
     """
 
     condition_id: str
@@ -72,47 +75,39 @@ class ConditionReport:
     all_hold: bool
 
 
-def _require_strict_interior(params: ModelParams, what: str) -> None:
+def _condition_report(params: ModelParams, condition_id: str, what: str) -> ConditionReport:
+    """Each player's condition from ``_stationarity`` at (1, 1), with the social term
+    exactly 1.0 as the condition has no W: cooperation exists where that profile is
+    stable, and defection is unique where it is not, so ties defect."""
     if not params.strict_interior:
         raise ValueError(
             f"{what} is stated for players with alpha, beta, lam strictly inside "
             f"(0, 1) and zero prejudice attachment; these params fall outside that "
             f"regime (strict_interior is False)"
         )
-
-
-def _condition_sides(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    terms = _revision_terms(params)
-    return terms.coupling, -2.0 * terms.base
-
-
-def _condition_report(condition_id: str, lhs, rhs, holds: np.ndarray) -> ConditionReport:
-    return ConditionReport(
-        condition_id=condition_id,
-        per_player=tuple((float(a), float(b), bool(h)) for a, b, h in zip(lhs, rhs, holds)),
-        all_hold=bool(holds.all()),
-    )
+    terms, ones = _revision_terms(params), np.ones(params.n)
+    stable = _stationarity(ones, ones, ones, params)[0]
+    holds = stable if condition_id == CONDITION_ALL_COOPERATION_EXISTS else ~stable
+    rows = tuple((float(a), float(b), bool(h)) for a, b, h in zip(terms.coupling, -2.0 * terms.base, holds))
+    return ConditionReport(condition_id, rows, bool(holds.all()))
 
 
 def check_all_defection_unique(params: ModelParams) -> ConditionReport:
     """Per-player check of the condition making (0, 0) the unique equilibrium.
 
-    Holds for player i iff beta*lam/(beta+lam) <= 2*alpha*(1 - r/n).
+    Holds for player i iff beta*lam/(beta+lam) <= 2*alpha*(1 - r/n), sides equal
+    within the tie band counting as equal.
     """
-    _require_strict_interior(params, "the defection-uniqueness condition")
-    lhs, rhs = _condition_sides(params)
-    return _condition_report(CONDITION_ALL_DEFECTION_UNIQUE, lhs, rhs, lhs <= rhs)
+    return _condition_report(params, CONDITION_ALL_DEFECTION_UNIQUE, "the defection-uniqueness condition")
 
 
 def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
     """Per-player check of the condition making (1, 1) an equilibrium too.
 
-    Holds for player i iff beta*lam/(beta+lam) > 2*alpha*(1 - r/n), the strict
-    complement of the defection-uniqueness condition.
+    Holds for player i iff beta*lam/(beta+lam) > 2*alpha*(1 - r/n) beyond the tie
+    band, the exact complement of the defection-uniqueness condition.
     """
-    _require_strict_interior(params, "the cooperation-existence condition")
-    lhs, rhs = _condition_sides(params)
-    return _condition_report(CONDITION_ALL_COOPERATION_EXISTS, lhs, rhs, lhs > rhs)
+    return _condition_report(params, CONDITION_ALL_COOPERATION_EXISTS, "the cooperation-existence condition")
 
 
 def _require_solvable(params: ModelParams) -> None:
@@ -408,7 +403,7 @@ def sweep(
         for v in grid[axis]:
             if isinstance(v, bool) or not isinstance(v, Real):
                 raise ValueError(f"grid axis {axis}: values must be real numbers, got {v!r}")
-    _check_tolerance(fixed_point_tol)
+    _check_limits(max_steps, fixed_point_tol)
     n = net.n
     # the schedule refuses an unknown kind or n < 2 before any cell runs
     if make_schedule(schedule_kind, n).T is None:

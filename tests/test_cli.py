@@ -372,6 +372,26 @@ class TestCheckConditions:
         assert out[0] == "all_defection_unique: fails for player(s) 1, 2, 3, 4"
         assert out[1] == "all_cooperation_exists: holds for all players"
 
+    def test_exact_boundary_goes_to_defection(self, tmp_path, capsys):
+        # beta*lam/(beta+lam) = 2*alpha*(1 - r/n) = 0.2 in decimals; in binary the
+        # consensus discriminant is 1.4e-17, inside the tie band, and enumerate
+        # finds (1, 1) only as a boundary equilibrium
+        doc = {
+            "params": {"n": 4, "r": 2.0, "alpha": 0.2, "beta": 0.4},
+            "network": {"type": "ring"},
+            "sweep": {"r": [2.0], "alpha": [0.2], "beta": [0.4], "trials": 2},
+        }
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["check-conditions", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "all_defection_unique: holds for all players"
+        assert out[1] == "all_cooperation_exists: fails for player(s) 1, 2, 3, 4"
+        assert cli_main(["sweep", str(path), "--quiet"]) == 0
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        got = [cell[k] for k in ("all_defection_unique", "all_cooperation_exists", "equilibrium_count", "boundary_count")]
+        assert got == [True, False, 1, 1]
+
     def test_out_file_document(self, config_path, tmp_path):
         out = tmp_path / "conditions.json"
         assert cli_main(["check-conditions", config_path, "--out", str(out)]) == 0

@@ -257,6 +257,17 @@ class TestRun:
         assert traj.stop_reason == "max_steps"
         assert len(traj) == 4
 
+    @pytest.mark.parametrize("max_steps", [0, -1, 2.5, 3.0, True, "3", None])
+    def test_max_steps_must_be_an_integer_of_at_least_one(self, params_r2, complete4, max_steps):
+        with pytest.raises(ValueError, match=re.escape(f"max_steps must be an integer >= 1, got {max_steps!r}")):
+            run(SystemState.all_cooperation(4), make_schedule("round-robin", 4), params_r2, complete4,
+                max_steps=max_steps)
+
+    def test_numpy_integer_max_steps_is_accepted(self, params_r2, complete4):
+        args = (SystemState.all_cooperation(4), make_schedule("round-robin", 4), params_r2, complete4)
+        got, want = run(*args, max_steps=np.int64(3)), run(*args, max_steps=3)
+        assert np.array_equal(got.y, want.y) and got.stop_reason == want.stop_reason == "max_steps"
+
     def test_potentials_recorded_in_zero_prejudice_regime(self, params_r2, complete4):
         traj = run(
             SystemState.all_cooperation(4),

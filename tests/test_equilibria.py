@@ -41,6 +41,7 @@ from coevo.model import (
     total_payoff,
 )
 from coevo.networks import complete_network, random_symmetric_network, ring_network
+from exact import decimal_boundary_cells
 from instances import (
     cooperation_regime_params,
     defection_regime_params,
@@ -90,6 +91,18 @@ class TestConditions:
         coop = check_all_cooperation_exists(p)
         assert defect.all_hold
         assert not coop.all_hold
+
+    def test_exact_decimal_boundaries_go_to_defection(self):
+        # in binary the two sides round apart on most of these cells, on either
+        # side; the consensus discriminant stays inside the tie band on all of them
+        cells = decimal_boundary_cells()
+        assert len(cells) == 45
+        wrong = []
+        for n, r, alpha, beta in cells:
+            p = ModelParams.uniform(n, r, alpha, beta)
+            if not check_all_defection_unique(p).all_hold or check_all_cooperation_exists(p).all_hold:
+                wrong.append((n, r, alpha, beta))
+        assert wrong == []
 
     def test_rejects_non_interior_params(self, complete4):
         zero_beta = ModelParams.uniform(4, 2.0, 0.5, 0.0, 0.5)
@@ -432,6 +445,8 @@ class TestSweep:
             ({"r": [2.0, "2.5"]}, "grid axis r: values must be real numbers, got '2.5'"),
             ({"alpha": [True]}, "grid axis alpha: values must be real numbers, got True"),
             ({"beta": [None]}, "grid axis beta: values must be real numbers, got None"),
+            ({"max_steps": 0}, "max_steps must be an integer >= 1, got 0"),
+            ({"max_steps": 2.5}, "max_steps must be an integer >= 1, got 2.5"),
         ],
     )
     def test_bad_argument_is_named_before_any_cell(self, complete4, monkeypatch, argument, message):
@@ -442,7 +457,7 @@ class TestSweep:
         axes = {k: v for k, v in argument.items() if k in grid}
         options = {k: v for k, v in argument.items() if k not in grid}
         with pytest.raises(ValueError, match=re.escape(message)):
-            sweep({**grid, **axes}, complete4, max_steps=50, **options)
+            sweep({**grid, **axes}, complete4, **{"max_steps": 50, **options})
 
     def test_numpy_numbers_are_accepted(self, complete4):
         grid = {"r": [2.0, 3.5], "alpha": [0.25], "beta": [0.5]}
@@ -699,7 +714,7 @@ def test_network_of_another_size_is_refused(params_r2, call):
         call(params_r2, complete_network(5))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, True])
 @pytest.mark.parametrize(
     "call",
     [
