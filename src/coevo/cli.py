@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -227,6 +228,11 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, *_) -> None:
+    """Show a library warning as one ``warning:`` line, without its source file and line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -239,7 +245,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args, load_config(args.config, seed_override=args.seed))
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return _COMMANDS[args.command](args, load_config(args.config, seed_override=args.seed))
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import arcsum
 from .model import (
     DISCRIMINANT_TIE_TOL,
     ModelParams,
@@ -263,15 +264,23 @@ def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelP
     n = params.n
     x = initial.x.astype(np.int8)
     y = np.array(initial.y)
-    # the potentials' n-by-n term buffer carries from one block to the next
-    buf = np.empty((n, n)) if record and _potential_fault(params) is None else None
+    # the potentials, or None: on a sparse network summed over its arcs, else in
+    # an n-by-n term buffer that carries from one block to the next
+    potentials = None
+    if record and _potential_fault(params) is None:
+        if np.count_nonzero(net.W) * arcsum.SPARSITY <= n * n:
+            plan = arcsum.build(net.W)
+            potentials = lambda Y, keys: arcsum.potentials(Y, plan, params)
+        else:
+            buf = np.empty((n, n))
+            potentials = lambda Y, keys: _buffer_potentials(Y, keys, params, net.W, buf)
     if record:
         B = _block_rows(n)
         X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
         X[0], Y[0] = x, y
 
     def block(X, Y, keys):
-        return X, Y, keys, None if buf is None else _potentials(Y, keys, params, net, buf)
+        return X, Y, keys, None if potentials is None else potentials(Y, keys)
 
     # schedules repeat a few distinct sets, each one player or everyone: keep
     # each one's slice, influence rows and revision terms, so a step is one
@@ -413,25 +422,27 @@ def potential(y, params: ModelParams, net: Network) -> float:
 
     Non-decreasing along single-player opinion revisions on a symmetric
     network, with unique maximum 0 at y = 0. Requires all gamma zero and all
-    beta positive.
+    beta positive. Recorded runs log the same bits by cheaper paths
+    (``_buffer_potentials``, ``arcsum``), which are tested against this one.
     """
     _check_sizes(params, net)
     fault = _potential_fault(params)
     if fault is not None:
         raise ValueError(fault)
     y = _check_vector("opinion vector", y, params.n)
-    return float(_potentials(y[None, :], ((),), params, net, np.empty((params.n, params.n)))[0])
+    spread = float((net.W / 2 * (y[:, None] - y[None, :]) ** 2).sum())
+    return -0.5 * (spread + float((params.lam / params.beta * y**2).sum()))
 
 
-def _potentials(Y: np.ndarray, keys, params: ModelParams, net: Network, buf: np.ndarray) -> np.ndarray:
+def _buffer_potentials(Y: np.ndarray, keys, params: ModelParams, W: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """``potential`` of every row of ``Y``, where ``keys[t]`` revised the row before into row t.
 
     The terms ``W/2 * (y_i - y_j)^2`` live in the n-by-n ``buf``, in the operations
-    and order of ``-(sum(W/2 * (y_i - y_j)^2) + sum(lam/beta * y^2)) / 2``. A row
-    that one player revised rewrites only that player's row and column of the
-    row before's terms, the only ones that changed; any other row refreshes all.
+    and order of ``potential``. A row that one player revised rewrites only that
+    player's row and column of the row before's terms, the only ones that
+    changed; any other row refreshes all.
     """
-    half_w = net.W / 2.0
+    half_w = W / 2.0
     anchor_w = params.lam / params.beta
     out = np.empty(len(Y))
     for t, (y, key) in enumerate(zip(Y, keys)):

@@ -478,6 +478,25 @@ class TestSweep:
         assert out.read_text() == capsys.readouterr().out
 
 
+    def test_noncompliant_schedule_warns_in_one_plain_line(self, config_path, tmp_path, capsys):
+        doc = json.loads(open(config_path).read())
+        doc["schedule"] = {"kind": "iid-random", "seed": 0}
+        path = tmp_path / "iid.json"
+        path.write_text(json.dumps(doc))
+        runs = []
+        for _ in range(2):
+            assert cli_main(["sweep", str(path), "--quiet"]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1]
+        assert runs[0].err == (
+            "warning: the iid-random schedule does not guarantee that every player revises "
+            "within a fixed window; convergence conclusions do not apply to it\n"
+        )
+        doc["schedule"]["kind"] = "round-robin"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_axis_is_exit_1(self, tmp_path, capsys):
         doc = {
             "params": {"n": 4, "r": 2.0, "alpha": 1 / 3, "beta": 1 / 3},

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coevo.arcsum as arcsum
 import coevo.dynamics as dynamics_module
 from coevo.dynamics import (
     SCHEDULE_KINDS,
@@ -745,13 +746,15 @@ def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max
     st.integers(0, 2**32 - 1),
     st.sampled_from(SCHEDULE_KINDS),
     st.sampled_from(("ring", "grid", "random")),
-    st.integers(12, 40),
+    st.integers(12, 80),
     st.integers(1, 250),
     st.sampled_from((None, 1, 2, 7)),
 )
 def test_recorded_potentials_match_full_evaluation(seed, kind, shape, n, max_steps, block_rows):
     # n >= 12 puts the n^2 terms past numpy's 128-element pairwise-sum block,
-    # where a term refreshed out of place would show in the low bits
+    # where a term refreshed or summed out of place would show in the low bits;
+    # rings from n=32 and grids from about n=64 sum over their arcs, the
+    # random networks (15% of cells) through the n-by-n term buffer
     rng = np.random.default_rng(seed)
     params = random_interior_params(rng, n)
     net = _sparse_network(rng, shape, n)
@@ -772,3 +775,77 @@ def test_recorded_potentials_match_full_evaluation_on_a_long_ring():
     assert len(traj) == 601
     for y, recorded in zip(traj.y, traj.potentials):
         assert recorded == potential(y, params, net)
+
+
+@pytest.mark.parametrize(
+    ("net", "module", "evaluator"),
+    [
+        (ring_network(64), arcsum, "potentials"),
+        (grid_network(8, 8), arcsum, "potentials"),
+        (ring_network(12), dynamics_module, "_buffer_potentials"),
+        (complete_network(20), dynamics_module, "_buffer_potentials"),
+    ],
+)
+def test_recorded_potentials_take_the_side_of_the_density_rule(net, module, evaluator):
+    # at most one arc in 16 cells sums over the arcs, anything denser through
+    # the term buffer; both equal the plain formula bit for bit
+    n = net.n
+    rng = np.random.default_rng(n)
+    params = ModelParams.uniform(n, 2.0, 0.4, 0.3)
+    spy = mock.patch.object(module, evaluator, wraps=getattr(module, evaluator))
+    with _block_rows(7), spy as called:
+        traj = run(random_state(rng, n), make_schedule("shuffled-rounds", n, seed=n), params, net, max_steps=90)
+    assert called.call_count == -(-len(traj) // 7)
+    for y, recorded in zip(traj.y, traj.potentials):
+        assert recorded == potential(y, params, net)
+
+
+def _plain_potentials(Y: np.ndarray, W: np.ndarray, params: ModelParams) -> np.ndarray:
+    anchor_w = params.lam / params.beta
+    return np.array(
+        [-0.5 * (float((W / 2 * (y[:, None] - y[None, :]) ** 2).sum()) + float((anchor_w * y**2).sum())) for y in Y]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 200),
+    st.sampled_from(("one-arc", "sparse", "half", "complete")),
+    st.integers(1, 9),
+    st.sampled_from((None, 1, 2, 3)),
+)
+def test_arc_sum_and_term_buffer_match_the_plain_formula(seed, n, support, rows, chunk_rows):
+    # both evaluators, called directly whatever the density rule would pick,
+    # against the formula of potential(): n=2 puts the n^2 terms under numpy's
+    # 8-term running sum, n <= 11 inside one 128-term leaf, and n >= 91 past
+    # 8192; zero weights include -0.0 and self-loops, opinions exact 0.0, -0.0
+    # and 1.0, and a chunk of 1 to 3 rows splits the rows into many chunks
+    rng = np.random.default_rng(seed)
+    if support == "one-arc":
+        W = np.zeros((n, n))
+        W[tuple(rng.integers(n, size=2))] = rng.uniform(0.1, 1.0)
+    else:
+        density = {"sparse": 1 / 16, "half": 0.5, "complete": 1.0}[support]
+        W = np.where(rng.random((n, n)) < density, rng.uniform(0.01, 1.0, (n, n)), 0.0)
+    W[(W == 0.0) & (rng.random((n, n)) < 0.3)] = -0.0
+    params = random_interior_params(rng, n)
+    # each row revises one player or everyone, as the run's rows do
+    keys = [()]
+    Y = [_exact_values(rng, rng.random(n))]
+    for _ in range(rows - 1):
+        y = Y[-1].copy()
+        key = (int(rng.integers(n)),) if rng.random() < 0.7 else tuple(range(n))
+        y[list(key)] = _exact_values(rng, rng.random(len(key)))
+        keys.append(key)
+        Y.append(y)
+    Y = np.array(Y)
+    expected = _bits(_plain_potentials(Y, W, params))
+
+    plan = arcsum.build(W)
+    assert plan.src.size == np.count_nonzero(W)
+    cells = arcsum.CHUNK_CELLS if chunk_rows is None else chunk_rows * plan.size
+    with mock.patch.object(arcsum, "CHUNK_CELLS", cells):
+        np.testing.assert_array_equal(_bits(arcsum.potentials(Y, plan, params)), expected)
+    buffered = dynamics_module._buffer_potentials(Y, keys, params, W, np.empty((n, n)))
+    np.testing.assert_array_equal(_bits(buffered), expected)
