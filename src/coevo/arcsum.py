@@ -12,8 +12,13 @@ up to the sign of a zero sum, which a final ``0.0 +`` fixes.
 
 On a sparse network that is far less work: a ring has 2n arcs among n^2
 cells. On a dense one the tree's Python-built levels cost more than numpy's
-own sum, so ``dynamics`` uses it only where at most one cell in ``SPARSITY``
-is an arc.
+own sum, so ``sparse_plan`` offers it only where the network has at most
+``ARCS_PER_NODE`` arcs per node.
+
+numpy does not document this order. The copy was checked bit for bit on
+numpy 2.4, and ``sparse_plan`` checks it again on the numpy in use: a plan
+whose sums of ``PROBE_ROWS`` rows of random opinions differ from numpy's own
+is not used, and the run keeps the n-by-n term buffer, whose sum is numpy's.
 """
 
 from __future__ import annotations
@@ -25,9 +30,17 @@ import numpy as np
 
 from .model import ModelParams
 
-#: The arc sum beats the n-by-n term buffer where at most one cell in this many
-#: is an arc (ring, grid and 5% random networks at n=192; not 10% random or complete).
-SPARSITY = 16
+#: The arc sum beats the n-by-n term buffer of a one-player revision where the
+#: network has at most this many arcs (self-loops included) per node: timed on
+#: round-robin runs, the two broke even at 10-12 arcs per node from n=128 to
+#: n=512, where a fixed share of the n^2 cells broke even anywhere from 1 in 11
+#: to 1 in 45. The rule keeps rings, grids and sparse random networks on the
+#: arc sum and complete networks from n=12 on the buffer.
+ARCS_PER_NODE = 10
+#: Probe rows that a plan must sum to numpy's bits. One row of random opinions
+#: told a shuffled order of the same tree from numpy's in only 18-54 of 100
+#: shuffles (rings n=64 and 192, grid 8x8, 5% random n=192); 16 rows told all.
+PROBE_ROWS = 16
 #: Cells of the node-by-row array per chunk of rows: as many as a block's opinion
 #: array holds from n=64 on. Chunks four times larger ran at about the same speed
 #: but raised the peak RSS of a long recorded ring run by about 2 MiB in most
@@ -116,6 +129,41 @@ def build(W: np.ndarray) -> Plan:
     return Plan(src, dst, W.ravel()[flat] / 2.0, tuple(levels), None if root is None else slot[root], len(depth))
 
 
+def sparse_plan(W: np.ndarray) -> Plan | None:
+    """The plan of ``W`` where it pays and holds, else None.
+
+    It pays where ``W`` has at most ``ARCS_PER_NODE * n`` arcs. It holds
+    where it sums ``PROBE_ROWS`` rows of random opinions to the bits of numpy's
+    own ``(W/2 * (y_i - y_j)^2).sum()``.
+    """
+    n = W.shape[0]
+    if np.count_nonzero(W) > ARCS_PER_NODE * n:
+        return None
+    plan = build(W)
+    half_w = W / 2
+    Y = np.random.default_rng(0).random((PROBE_ROWS, n))
+    terms = np.empty((n, n))
+    numpy_sums = []
+    for y in Y:
+        np.subtract(y[:, None], y[None, :], out=terms)
+        np.square(terms, out=terms)
+        np.multiply(half_w, terms, out=terms)
+        numpy_sums.append(terms.sum())
+    probe = _spreads(Y, plan, np.empty((plan.size, PROBE_ROWS)))
+    return plan if np.all(probe == numpy_sums) else None
+
+
+def _spreads(Y: np.ndarray, plan: Plan, V: np.ndarray):
+    """``(W/2 * (y_i - y_j)^2).sum()`` of every row of ``Y``, in the node-by-row slots ``V``."""
+    terms = V[: plan.src.size]
+    np.subtract(Y.T[plan.src], Y.T[plan.dst], out=terms)
+    np.square(terms, out=terms)
+    np.multiply(plan.half_w[:, None], terms, out=terms)
+    for a, b, lo, hi in plan.levels:
+        np.add(V[a], V[b], out=V[lo:hi])
+    return 0.0 if plan.root is None else 0.0 + V[plan.root]
+
+
 def potentials(Y: np.ndarray, plan: Plan, params: ModelParams) -> np.ndarray:
     """``dynamics.potential`` of every row of ``Y``, bit for bit, through ``plan``.
 
@@ -123,19 +171,10 @@ def potentials(Y: np.ndarray, plan: Plan, params: ModelParams) -> np.ndarray:
     cells (one row at least), so memory does not grow with the number of rows.
     """
     anchor_w = params.lam / params.beta
-    arcs = plan.src.size
     rows = max(1, CHUNK_CELLS // max(plan.size, 1))
     V = np.empty((plan.size, min(rows, len(Y))))
     out = np.empty(len(Y))
     for c in range(0, len(Y), rows):
         Yc = Y[c : c + rows]
-        Vc = V[:, : len(Yc)]
-        terms = Vc[:arcs]
-        np.subtract(Yc.T[plan.src], Yc.T[plan.dst], out=terms)
-        np.square(terms, out=terms)
-        np.multiply(plan.half_w[:, None], terms, out=terms)
-        for a, b, lo, hi in plan.levels:
-            np.add(Vc[a], Vc[b], out=Vc[lo:hi])
-        spread = 0.0 if plan.root is None else 0.0 + Vc[plan.root]
-        out[c : c + len(Yc)] = -0.5 * (spread + (anchor_w * Yc**2).sum(axis=1))
+        out[c : c + len(Yc)] = -0.5 * (_spreads(Yc, plan, V[:, : len(Yc)]) + (anchor_w * Yc**2).sum(axis=1))
     return out

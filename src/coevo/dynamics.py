@@ -16,7 +16,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import arcsum
 from .model import (
     DISCRIMINANT_TIE_TOL,
     ModelParams,
@@ -268,8 +267,10 @@ def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelP
     # an n-by-n term buffer that carries from one block to the next
     potentials = None
     if record and _potential_fault(params) is None:
-        if np.count_nonzero(net.W) * arcsum.SPARSITY <= n * n:
-            plan = arcsum.build(net.W)
+        from . import arcsum  # here, so `import coevo` and sweeps never compile it
+
+        plan = arcsum.sparse_plan(net.W)
+        if plan is not None:
             potentials = lambda Y, keys: arcsum.potentials(Y, plan, params)
         else:
             buf = np.empty((n, n))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from contextlib import nullcontext
@@ -745,7 +746,7 @@ def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(SCHEDULE_KINDS),
-    st.sampled_from(("ring", "grid", "random")),
+    st.sampled_from(("ring", "grid", "random", "complete")),
     st.integers(12, 80),
     st.integers(1, 250),
     st.sampled_from((None, 1, 2, 7)),
@@ -753,11 +754,11 @@ def test_recorded_run_matches_step_replay(seed, kind, shape, weights, start, max
 def test_recorded_potentials_match_full_evaluation(seed, kind, shape, n, max_steps, block_rows):
     # n >= 12 puts the n^2 terms past numpy's 128-element pairwise-sum block,
     # where a term refreshed or summed out of place would show in the low bits;
-    # rings from n=32 and grids from about n=64 sum over their arcs, the
-    # random networks (15% of cells) through the n-by-n term buffer
+    # rings and grids sum over their arcs, complete networks through the n-by-n
+    # term buffer, and random ones (15% of cells) over their arcs up to n=66
     rng = np.random.default_rng(seed)
     params = random_interior_params(rng, n)
-    net = _sparse_network(rng, shape, n)
+    net = complete_network(n) if shape == "complete" else _sparse_network(rng, shape, n)
     schedule = make_schedule(kind, n, seed=seed)
     with _block_rows(block_rows):
         traj = run(random_state(rng, n), schedule, params, net, max_steps=max_steps)
@@ -782,13 +783,14 @@ def test_recorded_potentials_match_full_evaluation_on_a_long_ring():
     [
         (ring_network(64), arcsum, "potentials"),
         (grid_network(8, 8), arcsum, "potentials"),
-        (ring_network(12), dynamics_module, "_buffer_potentials"),
+        (ring_network(12), arcsum, "potentials"),
+        (complete_network(12), dynamics_module, "_buffer_potentials"),
         (complete_network(20), dynamics_module, "_buffer_potentials"),
     ],
 )
 def test_recorded_potentials_take_the_side_of_the_density_rule(net, module, evaluator):
-    # at most one arc in 16 cells sums over the arcs, anything denser through
-    # the term buffer; both equal the plain formula bit for bit
+    # at most 10 arcs per node sum over the arcs, anything denser through the
+    # term buffer; both equal the plain formula bit for bit
     n = net.n
     rng = np.random.default_rng(n)
     params = ModelParams.uniform(n, 2.0, 0.4, 0.3)
@@ -796,6 +798,35 @@ def test_recorded_potentials_take_the_side_of_the_density_rule(net, module, eval
     with _block_rows(7), spy as called:
         traj = run(random_state(rng, n), make_schedule("shuffled-rounds", n, seed=n), params, net, max_steps=90)
     assert called.call_count == -(-len(traj) // 7)
+    for y, recorded in zip(traj.y, traj.potentials):
+        assert recorded == potential(y, params, net)
+
+
+def test_a_plan_that_sums_in_another_order_than_numpy_is_not_used():
+    # stands in for a numpy whose sum takes another order: the plan adds the
+    # ring's terms shuffled, so the probe rows' bits differ from numpy's and
+    # the run keeps the term buffer, whose potentials stay exact
+    n = 64
+    net = ring_network(n)
+    assert arcsum.sparse_plan(net.W) is not None
+
+    build = arcsum.build
+
+    def shuffled_build(W):
+        plan = build(W)
+        order = np.random.default_rng(1).permutation(plan.src.size)
+        return dataclasses.replace(plan, src=plan.src[order], dst=plan.dst[order], half_w=plan.half_w[order])
+
+    rng = np.random.default_rng(5)
+    params = ModelParams.uniform(n, 2.0, 0.4, 0.3)
+    with (
+        mock.patch.object(arcsum, "build", shuffled_build),
+        mock.patch.object(arcsum, "potentials") as arc_sum,
+        mock.patch.object(dynamics_module, "_buffer_potentials", wraps=dynamics_module._buffer_potentials) as buffer,
+    ):
+        assert arcsum.sparse_plan(net.W) is None
+        traj = run(random_state(rng, n), make_schedule("round-robin", n), params, net, max_steps=90)
+    assert not arc_sum.called and buffer.called
     for y, recorded in zip(traj.y, traj.potentials):
         assert recorded == potential(y, params, net)
 
