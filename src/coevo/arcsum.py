@@ -1,24 +1,21 @@
-"""The potential's spread term summed over a network's arcs only, with numpy's bits.
+"""A recorded run's potentials, with the bits of ``dynamics.potential``.
 
-``potential`` sums the n-by-n terms ``W/2 * (y_i - y_j)^2`` with
-``ndarray.sum``, which adds 0.0 to numpy's pairwise sum of a contiguous array
-in row-major order: a range of more than 128 terms splits in two at half its
-length rounded down to a multiple of 8; a range of 8 to 128 terms is eight
-running sums, one over the offsets of each residue mod 8, added in pairs, and
-then its tail past the last multiple of 8 one term at a time; a shorter range
-is one running sum. Every term is >= 0 and a zero-weight term is a zero, whose
-addition is exact, so the same tree over the arcs alone gives the same bits,
-up to the sign of a zero sum, which a final ``0.0 +`` fixes.
-
-On a sparse network that is far less work: a ring has 2n arcs among n^2
-cells. On a dense one the tree's Python-built levels cost more than numpy's
-own sum, so ``sparse_plan`` offers it only where the network has at most
-``ARCS_PER_NODE`` arcs per node.
-
-numpy does not document this order. The copy was checked bit for bit on
-numpy 2.4, and ``sparse_plan`` checks it again on the numpy in use: a plan
-whose sums of ``PROBE_ROWS`` rows of random opinions differ from numpy's own
-is not used, and the run keeps the n-by-n term buffer, whose sum is numpy's.
+``recorder`` sums them, on one of two sides of a density rule. ``potential``
+sums the n-by-n terms ``W/2 * (y_i - y_j)^2`` with ``ndarray.sum``, which
+adds 0.0 to numpy's pairwise sum of a contiguous array in row-major order: a
+range of more than 128 terms splits in two at half its length rounded down to
+a multiple of 8; a range of 8 to 128 terms is eight running sums, one over the
+offsets of each residue mod 8, added in pairs, and then its tail past the last
+multiple of 8 one term at a time; a shorter range is one running sum. Every
+term is >= 0 and a zero-weight term is a zero, whose addition is exact, so the
+same tree over the arcs alone gives the same bits, up to the sign of a zero
+sum, which a final ``0.0 +`` fixes. With at most ``ARCS_PER_NODE`` arcs per
+node (a ring has 2n among n^2 cells) the run sums that tree; on a denser
+network, where its Python-built levels cost more than numpy's own sum, each
+row updates an n-by-n term buffer and sums it. numpy does not document its
+order: the copy was checked bit for bit on numpy 2.4, and ``sparse_plan``
+checks it again on the numpy in use against the buffer's sums of
+``PROBE_ROWS`` rows of random opinions; if they differ, the run keeps the buffer.
 """
 
 from __future__ import annotations
@@ -130,27 +127,36 @@ def build(W: np.ndarray) -> Plan:
 
 
 def sparse_plan(W: np.ndarray) -> Plan | None:
-    """The plan of ``W`` where it pays and holds, else None.
-
-    It pays where ``W`` has at most ``ARCS_PER_NODE * n`` arcs. It holds
-    where it sums ``PROBE_ROWS`` rows of random opinions to the bits of numpy's
-    own ``(W/2 * (y_i - y_j)^2).sum()``.
-    """
+    """The plan of ``W`` where it pays, at most ``ARCS_PER_NODE * n`` arcs, and
+    holds, summing ``PROBE_ROWS`` rows of random opinions to the buffer's bits."""
     n = W.shape[0]
     if np.count_nonzero(W) > ARCS_PER_NODE * n:
         return None
     plan = build(W)
-    half_w = W / 2
     Y = np.random.default_rng(0).random((PROBE_ROWS, n))
-    terms = np.empty((n, n))
-    numpy_sums = []
-    for y in Y:
-        np.subtract(y[:, None], y[None, :], out=terms)
-        np.square(terms, out=terms)
-        np.multiply(half_w, terms, out=terms)
-        numpy_sums.append(terms.sum())
+    half_w, terms = W / 2.0, np.empty((n, n))
+    numpy_sums = [_term_sum(y, half_w, terms) for y in Y]
     probe = _spreads(Y, plan, np.empty((plan.size, PROBE_ROWS)))
-    return plan if np.all(probe == numpy_sums) else None
+    return plan if np.equal(probe, numpy_sums).all() else None
+
+
+def recorder(params: ModelParams, W: np.ndarray):
+    """The evaluator ``f(Y, keys)`` of the potentials of a recorded run's block ``Y``,
+    where ``keys[t]`` revised the row before into row t (``()`` for the first row):
+    over the arcs where ``sparse_plan`` gives a plan, else through a term buffer."""
+    plan = sparse_plan(W)
+    if plan is not None:
+        return lambda Y, keys: potentials(Y, plan, params)
+    half_w, buf = W / 2.0, np.empty(W.shape)
+    return lambda Y, keys: _buffer_potentials(Y, keys, params, half_w, buf)
+
+
+def _term_sum(y: np.ndarray, half_w: np.ndarray, terms: np.ndarray):
+    """``(W/2 * (y_i - y_j)^2).sum()`` of one row as ``potential`` sums it, its terms left in ``terms``."""
+    np.subtract(y[:, None], y[None, :], out=terms)
+    np.square(terms, out=terms)
+    np.multiply(half_w, terms, out=terms)
+    return terms.sum()
 
 
 def _spreads(Y: np.ndarray, plan: Plan, V: np.ndarray):
@@ -164,17 +170,33 @@ def _spreads(Y: np.ndarray, plan: Plan, V: np.ndarray):
     return 0.0 if plan.root is None else 0.0 + V[plan.root]
 
 
-def potentials(Y: np.ndarray, plan: Plan, params: ModelParams) -> np.ndarray:
-    """``dynamics.potential`` of every row of ``Y``, bit for bit, through ``plan``.
+def _anchored(spreads, Y: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The potentials of the rows of ``Y`` whose terms ``W/2 * (y_i - y_j)^2`` sum to ``spreads``."""
+    return -0.5 * (spreads + (params.lam / params.beta * Y**2).sum(axis=1))
 
-    Rows go in chunks whose node-by-row array holds at most ``CHUNK_CELLS``
-    cells (one row at least), so memory does not grow with the number of rows.
-    """
-    anchor_w = params.lam / params.beta
+
+def potentials(Y: np.ndarray, plan: Plan, params: ModelParams) -> np.ndarray:
+    """The potentials of the rows of ``Y`` through ``plan``, in chunks whose
+    node-by-row array holds at most ``CHUNK_CELLS`` cells (one row at least)."""
     rows = max(1, CHUNK_CELLS // max(plan.size, 1))
     V = np.empty((plan.size, min(rows, len(Y))))
     out = np.empty(len(Y))
     for c in range(0, len(Y), rows):
         Yc = Y[c : c + rows]
-        out[c : c + len(Yc)] = -0.5 * (_spreads(Yc, plan, V[:, : len(Yc)]) + (anchor_w * Yc**2).sum(axis=1))
+        out[c : c + len(Yc)] = _anchored(_spreads(Yc, plan, V[:, : len(Yc)]), Yc, params)
     return out
+
+
+def _buffer_potentials(Y: np.ndarray, keys, params: ModelParams, half_w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The potentials of the rows of ``Y`` through the n-by-n term buffer ``buf``, carried
+    from row to row: one player's revision changes only its row and column of the terms."""
+    spreads = np.empty(len(Y))
+    for t, (y, key) in enumerate(zip(Y, keys)):
+        if len(key) == 1:
+            i = key[0]
+            buf[i] = half_w[i] * np.square(y[i] - y)
+            buf[:, i] = half_w[:, i] * np.square(y - y[i])
+            spreads[t] = buf.sum()
+        else:
+            spreads[t] = _term_sum(y, half_w, buf)
+    return _anchored(spreads, Y, params)

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="path to the experiment config JSON")
-    common.add_argument("--seed", type=int, default=None, help="override every config seed")
+    common.add_argument("--seed", type=int, default=None, help="override the schedule and random initial-state seeds")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     common.add_argument("--out", default=None, help="write the result to this file")
 

@@ -256,8 +256,8 @@ def _build_initial(raw, n: int, seed_override: int | None) -> SystemState:
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     """Load and fully validate an experiment configuration file.
 
-    ``seed_override`` replaces every seed in the document (schedule and random
-    initial state), which is what the CLI's --seed flag does.
+    ``seed_override`` replaces the schedule seed and a random initial state's
+    seed, not a random network's ``network.seed``; the CLI's --seed flag sets it.
     """
     try:
         with open(path, encoding="utf-8") as f:

@@ -28,6 +28,7 @@ from .model import (
     _opinion,
     _revision,
     _revision_terms,
+    _state_fault,
     _stationarity,
 )
 
@@ -192,14 +193,18 @@ class Trajectory:
     stop_detail: str = ""
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int8)
+        x = np.asarray(self.x)
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 2 or x.shape != y.shape:
             raise ValueError(
                 f"actions and opinions must be (rows, n) arrays of one shape, "
                 f"got {x.shape} and {y.shape}"
             )
-        object.__setattr__(self, "x", x)
+        # checked before the cast, which would truncate 0.7 to 0 and wrap 300 to 44
+        fault = _state_fault(x, y)
+        if fault is not None:
+            raise ValueError(f"row {fault[0][0]}: {fault[1]}")
+        object.__setattr__(self, "x", np.asarray(x, dtype=np.int8))
         object.__setattr__(self, "y", y)
         expected = max(len(x) - 1, 0)
         if len(self.active_sets) != expected:
@@ -263,18 +268,11 @@ def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelP
     n = params.n
     x = initial.x.astype(np.int8)
     y = np.array(initial.y)
-    # the potentials, or None: on a sparse network summed over its arcs, else in
-    # an n-by-n term buffer that carries from one block to the next
-    potentials = None
+    potentials = None  # a block's potentials from its rows and active sets, or None
     if record and _potential_fault(params) is None:
         from . import arcsum  # here, so `import coevo` and sweeps never compile it
 
-        plan = arcsum.sparse_plan(net.W)
-        if plan is not None:
-            potentials = lambda Y, keys: arcsum.potentials(Y, plan, params)
-        else:
-            buf = np.empty((n, n))
-            potentials = lambda Y, keys: _buffer_potentials(Y, keys, params, net.W, buf)
+        potentials = arcsum.recorder(params, net.W)
     if record:
         B = _block_rows(n)
         X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
@@ -375,8 +373,9 @@ def run(
     entry, and an everyone-set with one matvec and array operations; both go
     through the same formulas and give the same bits as ``step``.
 
-    With ``record`` every state is kept, and the potential of each is logged
-    whenever it is defined (all gamma zero, all beta positive). Without it
+    With ``record`` every state is kept, and the potential of each is logged,
+    bit for bit as ``potential`` gives it, by ``arcsum.recorder`` whenever it
+    is defined (all gamma zero, all beta positive). Without it
     only the final state is kept and no potential is computed, so memory does
     not grow with ``max_steps``.
     """
@@ -423,8 +422,8 @@ def potential(y, params: ModelParams, net: Network) -> float:
 
     Non-decreasing along single-player opinion revisions on a symmetric
     network, with unique maximum 0 at y = 0. Requires all gamma zero and all
-    beta positive. Recorded runs log the same bits by cheaper paths
-    (``_buffer_potentials``, ``arcsum``), which are tested against this one.
+    beta positive. Recorded runs log the same bits by a cheaper path
+    (``arcsum.recorder``), which is tested against this one.
     """
     _check_sizes(params, net)
     fault = _potential_fault(params)
@@ -433,30 +432,6 @@ def potential(y, params: ModelParams, net: Network) -> float:
     y = _check_vector("opinion vector", y, params.n)
     spread = float((net.W / 2 * (y[:, None] - y[None, :]) ** 2).sum())
     return -0.5 * (spread + float((params.lam / params.beta * y**2).sum()))
-
-
-def _buffer_potentials(Y: np.ndarray, keys, params: ModelParams, W: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``potential`` of every row of ``Y``, where ``keys[t]`` revised the row before into row t.
-
-    The terms ``W/2 * (y_i - y_j)^2`` live in the n-by-n ``buf``, in the operations
-    and order of ``potential``. A row that one player revised rewrites only that
-    player's row and column of the row before's terms, the only ones that
-    changed; any other row refreshes all.
-    """
-    half_w = W / 2.0
-    anchor_w = params.lam / params.beta
-    out = np.empty(len(Y))
-    for t, (y, key) in enumerate(zip(Y, keys)):
-        if len(key) == 1:
-            i = key[0]
-            buf[i] = half_w[i] * np.square(y[i] - y)
-            buf[:, i] = half_w[:, i] * np.square(y - y[i])
-        else:
-            np.subtract(y[:, None], y[None, :], out=buf)
-            np.square(buf, out=buf)
-            np.multiply(half_w, buf, out=buf)
-        out[t] = -0.5 * (float(buf.sum()) + float((anchor_w * y**2).sum()))
-    return out
 
 
 def potential_matrix(params: ModelParams, net: Network) -> np.ndarray:

@@ -101,6 +101,12 @@ class TestValidConfigs:
         assert overridden.schedule.seed == 999
         assert base.initial_state != overridden.initial_state
 
+    @pytest.mark.parametrize("kind", ["random", "random-symmetric"])
+    def test_seed_override_keeps_the_network_seed(self, tmp_path, kind):
+        doc = dict(MINIMAL, network={"type": kind, "edge_probability": 0.6, "seed": 3})
+        path = write_config(tmp_path, doc)
+        np.testing.assert_array_equal(load_config(path, seed_override=5).network.W, load_config(path).network.W)
+
     def test_sweep_section(self, tmp_path):
         doc = dict(
             MINIMAL,

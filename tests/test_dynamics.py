@@ -600,6 +600,21 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="stop reason"):
             Trajectory(x=z, y=z, active_sets=(), potentials=None, stop_reason="crashed")
 
+    @pytest.mark.parametrize(
+        ("x", "y", "message"),
+        [
+            # an int8 cast would truncate 0.7 to 0 and wrap 300 to 44
+            ([[0, 1], [0.7, 1]], [[0.5, 0.5]] * 2, "row 1: player 1: action must be 0 or 1, got 0.7"),
+            ([[300, 1]], [[0.5, 0.5]], "row 0: player 1: action must be 0 or 1, got 300"),
+            ([[0, 1]], [[0.5, 1.5]], "row 0: player 2: opinion must lie in [0, 1], got 1.5"),
+            ([[0, 1], [0, 1]], [[0.5, 0.5], [0.5, float("nan")]], "row 1: player 2: opinion must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_invalid_rows_rejected(self, x, y, message):
+        active_sets = ((0,),) * (len(x) - 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trajectory(x=x, y=y, active_sets=active_sets, potentials=None, stop_reason="max_steps")
+
     def test_states_differ_only_at_active_coordinates(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 7))
@@ -784,8 +799,8 @@ def test_recorded_potentials_match_full_evaluation_on_a_long_ring():
         (ring_network(64), arcsum, "potentials"),
         (grid_network(8, 8), arcsum, "potentials"),
         (ring_network(12), arcsum, "potentials"),
-        (complete_network(12), dynamics_module, "_buffer_potentials"),
-        (complete_network(20), dynamics_module, "_buffer_potentials"),
+        (complete_network(12), arcsum, "_buffer_potentials"),
+        (complete_network(20), arcsum, "_buffer_potentials"),
     ],
 )
 def test_recorded_potentials_take_the_side_of_the_density_rule(net, module, evaluator):
@@ -822,7 +837,7 @@ def test_a_plan_that_sums_in_another_order_than_numpy_is_not_used():
     with (
         mock.patch.object(arcsum, "build", shuffled_build),
         mock.patch.object(arcsum, "potentials") as arc_sum,
-        mock.patch.object(dynamics_module, "_buffer_potentials", wraps=dynamics_module._buffer_potentials) as buffer,
+        mock.patch.object(arcsum, "_buffer_potentials", wraps=arcsum._buffer_potentials) as buffer,
     ):
         assert arcsum.sparse_plan(net.W) is None
         traj = run(random_state(rng, n), make_schedule("round-robin", n), params, net, max_steps=90)
@@ -847,8 +862,9 @@ def _plain_potentials(Y: np.ndarray, W: np.ndarray, params: ModelParams) -> np.n
     st.sampled_from((None, 1, 2, 3)),
 )
 def test_arc_sum_and_term_buffer_match_the_plain_formula(seed, n, support, rows, chunk_rows):
-    # both evaluators, called directly whatever the density rule would pick,
-    # against the formula of potential(): n=2 puts the n^2 terms under numpy's
+    # both sides of the recorder, forced whatever the density rule would pick
+    # (at most -1 arcs per node: the buffer, even without arcs; at most n: the
+    # arc sum), against the formula of potential(): n=2 puts the n^2 terms under numpy's
     # 8-term running sum, n <= 11 inside one 128-term leaf, and n >= 91 past
     # 8192; zero weights include -0.0 and self-loops, opinions exact 0.0, -0.0
     # and 1.0, and a chunk of 1 to 3 rows splits the rows into many chunks
@@ -876,7 +892,11 @@ def test_arc_sum_and_term_buffer_match_the_plain_formula(seed, n, support, rows,
     plan = arcsum.build(W)
     assert plan.src.size == np.count_nonzero(W)
     cells = arcsum.CHUNK_CELLS if chunk_rows is None else chunk_rows * plan.size
-    with mock.patch.object(arcsum, "CHUNK_CELLS", cells):
-        np.testing.assert_array_equal(_bits(arcsum.potentials(Y, plan, params)), expected)
-    buffered = dynamics_module._buffer_potentials(Y, keys, params, W, np.empty((n, n)))
-    np.testing.assert_array_equal(_bits(buffered), expected)
+    for arcs_per_node, side in ((-1, "_buffer_potentials"), (n, "potentials")):
+        with (
+            mock.patch.object(arcsum, "ARCS_PER_NODE", arcs_per_node),
+            mock.patch.object(arcsum, "CHUNK_CELLS", cells),
+            mock.patch.object(arcsum, side, wraps=getattr(arcsum, side)) as taken,
+        ):
+            np.testing.assert_array_equal(_bits(arcsum.recorder(params, W)(Y, keys)), expected)
+        assert taken.call_count == 1

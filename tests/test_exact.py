@@ -1,5 +1,5 @@
-"""The float kernel, enumeration and condition checks against the exact rational
-oracle in ``exact.py``.
+"""The float kernel, stationary-opinion solve, enumeration and condition checks
+against the exact rational oracle in ``exact.py``.
 
 Games are drawn in small rationals at n <= 5: influence rows of small
 integers, weights in twelfths and r in tenths, or r on player 1's condition
@@ -8,6 +8,7 @@ exact one wherever the exact discriminant is decidable, and defect at an
 exact zero.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coevo.dynamics import step
-from coevo.equilibria import check_all_cooperation_exists, check_all_defection_unique, enumerate_equilibria
+from coevo.equilibria import (
+    check_all_cooperation_exists,
+    check_all_defection_unique,
+    enumerate_equilibria,
+    solve_opinion_equilibrium,
+)
 from coevo.model import SystemState, best_response
 from exact import DECIDABLE, Exact
 
@@ -93,6 +99,16 @@ def test_enumeration_matches_exact(game):
         for eq in found:
             y = _floats(game.stationary(eq.state.x))
             assert np.abs(eq.state.y - y).max() <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_games())
+def test_stationary_opinions_match_exact(game):
+    # every profile, not only the equilibria that enumeration finds
+    params, net = game.floats()
+    for x in itertools.product((0, 1), repeat=game.n):
+        y = solve_opinion_equilibrium(np.array(x), params, net)
+        assert np.abs(y - _floats(game.stationary(x))).max() <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)

@@ -373,17 +373,40 @@ def test_irreducibility_matches_closure(n, density, self_loops, seed):
     assert net.is_irreducible is bool((closure > 0).all())
 
 
-def test_import_loads_no_scipy():
+def _loaded_after(code: str) -> list[str]:
+    """The modules of scipy, and ``coevo.arcsum``, that a fresh interpreter has
+    loaded after ``import sys, coevo, coevo.cli`` and then ``code``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, coevo, coevo.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys, coevo, coevo.cli; {code}; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'coevo.arcsum'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_after("pass") == []
+
+
+@pytest.mark.parametrize(
+    ("code", "loaded"),
+    [
+        # only a recorded run with a potential sums it
+        ("coevo.sweep({'r': [2.0], 'alpha': [0.3], 'beta': [0.3]}, coevo.ring_network(8), trials=2)", []),
+        ("coevo.enumerate_equilibria(coevo.ModelParams.uniform(8, 2.0, 0.3, 0.3), coevo.ring_network(8))", []),
+        (
+            "coevo.run(coevo.SystemState.all_cooperation(8), coevo.make_schedule('round-robin', 8), "
+            "coevo.ModelParams.uniform(8, 2.0, 0.3, 0.3), coevo.ring_network(8), max_steps=20)",
+            ["coevo.arcsum"],
+        ),
+    ],
+)
+def test_only_a_recorded_run_loads_the_arc_sum(code, loaded):
+    assert _loaded_after(code) == loaded
 
 
 @settings(max_examples=60, deadline=None)
