@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .dynamics import _ended, _run_blocks, classify_state
+from .dynamics import _classify, _ended, _run_blocks
 from .equilibria import (
     ENUMERATION_MAX_N,
     check_all_cooperation_exists,
@@ -34,9 +34,8 @@ from .io import (
     sweep_table_to_jsonable,
     trajectory_chunks,
     write_json,
-    write_sliced,
 )
-from .model import SystemState, _state_fault, best_response
+from .model import _state_fault, best_response
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text, out: str | None) -> None:
     if out is None:
-        write_sliced(sys.stdout, text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
     else:
         atomic_write(out, text)
 
@@ -127,7 +126,7 @@ def _cmd_simulate(args, cfg) -> int:
     _emit(trajectory_chunks(_ended(blocks, end), cfg.params.n, args.format), args.out)
     x, y, steps, stop_reason, stop_detail = end
     if not args.quiet:
-        cls = classify_state(SystemState(x, y))
+        cls = _classify(x, y)
         detail = f" ({stop_detail})" if stop_detail else ""
         print(
             f"stopped after {steps} steps: {stop_reason}{detail}; "

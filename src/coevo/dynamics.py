@@ -211,6 +211,14 @@ class Trajectory:
             raise ValueError(
                 f"{len(x)} states need {expected} active sets, got {len(self.active_sets)}"
             )
+        # each set object once, as a synchronous run repeats one everyone-set;
+        # by identity, not equality, since (1.0,) == (1,)
+        n, checked = x.shape[1], set()
+        for row, ids in enumerate(self.active_sets, start=1):
+            if id(ids) not in checked:
+                checked.add(id(ids))
+                if not all(_is_int(i) and 0 <= i < n for i in ids):
+                    raise ValueError(f"row {row}: active ids must be integers in 0..{n - 1}, got {list(ids)}")
         if self.potentials is not None:
             potentials = np.asarray(self.potentials, dtype=float)
             if potentials.shape != (len(x),):
@@ -480,7 +488,12 @@ class StateClass:
 
 def classify_state(state: SystemState, opinion_tol: float = 1e-6) -> StateClass:
     """Label the consensus structure of a state."""
-    x, y = state.x, state.y
+    return _classify(state.x, state.y, opinion_tol)
+
+
+def _classify(x: np.ndarray, y: np.ndarray, opinion_tol: float = 1e-6) -> StateClass:
+    """``classify_state`` of the actions ``x`` and opinions ``y`` of a valid state,
+    such as the end of ``_run_blocks``, without building the state."""
     if (x == 0).all():
         action = "all-defection"
     elif (x == 1).all():

@@ -29,9 +29,11 @@ import numpy as np
 from .dynamics import (
     StateClass,
     _check_limits,
+    _classify,
+    _ended,
+    _run_blocks,
     classify_state,
     make_schedule,
-    run,
 )
 from .model import (
     DISCRIMINANT_TIE_TOL,
@@ -451,8 +453,11 @@ def sweep(
             schedule = make_schedule(
                 schedule_kind, n, seed=int(rng.integers(2**63 - 1))
             )
-            traj = run(initial, schedule, params, net, max_steps, fixed_point_tol, record=False)
-            label = classify_state(traj.final).full_class
+            # unrecorded, the run core yields nothing and returns the final
+            # actions and opinions, as simulate reads them
+            end: list = []
+            list(_ended(_run_blocks(initial, schedule, params, net, max_steps, fixed_point_tol, record=False), end))
+            label = _classify(*end[:2]).full_class
             counts[label] = counts.get(label, 0) + 1
         freqs = {label: count / trials for label, count in sorted(counts.items())}
         cells.append(

@@ -16,6 +16,7 @@ from operator import ne
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import Trajectory
 from .equilibria import ConditionReport, EquilibriumReport, SweepTable
 from .model import BestResponseSet, SystemState, _state_fault
@@ -26,25 +27,15 @@ def format_real(v: float) -> str:
     return "%.17g" % float(v)
 
 
-#: Characters handed to the encoder at a time by ``write_sliced``.
-_WRITE_SLICE = 1 << 20
-
-
-def write_sliced(f, text) -> None:
-    """Write ``text``, a string or an iterable of strings, to the text stream ``f``
-    in slices of ``_WRITE_SLICE`` characters, so only one slice at a time is held encoded."""
-    for chunk in (text,) if isinstance(text, str) else text:
-        for start in range(0, len(chunk), _WRITE_SLICE):
-            f.write(chunk[start : start + _WRITE_SLICE])
-
-
 def atomic_write(path: str, text) -> None:
-    """Write all of ``text``, as ``write_sliced`` takes it, then rename into place; readers never see partials."""
+    """Write ``text``, a string or an iterable of strings written one at a time as
+    each arrives, to a temporary file, then rename it into place; readers never
+    see partials."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            write_sliced(f, text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,9 +111,14 @@ def _jsonl_line(t, active, pot, cells) -> str:
     return f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x}], "y": [{y}]}}'
 
 
-def _blocks(traj: Trajectory) -> list:
-    """A trajectory as the blocks of rows that ``trajectory_chunks`` reads: one, or none if it is empty."""
-    return [(traj.x, traj.y, ((), *traj.active_sets), traj.potentials)] if len(traj) else []
+def _blocks(traj: Trajectory):
+    """A trajectory as views of the blocks of rows that ``run``'s loop yields,
+    ``dynamics._block_rows(n)`` rows each, for ``trajectory_chunks``."""
+    rows = dynamics._block_rows(traj.x.shape[1])
+    keys, pots = ((), *traj.active_sets), traj.potentials
+    for k in range(0, len(traj), rows):
+        b = slice(k, k + rows)
+        yield traj.x[b], traj.y[b], keys[b], None if pots is None else pots[b]
 
 
 def render_trajectory_csv(traj: Trajectory) -> str:
@@ -148,7 +144,8 @@ def format_entry(table: dict, kind: str, format: str):
 
 
 def emit_trajectory(traj: Trajectory, path: str, format: str = "csv") -> None:
-    """Write a trajectory to ``path`` in one of the ``TRAJECTORY_FORMATS``."""
+    """Write a trajectory to ``path`` in one of the ``TRAJECTORY_FORMATS``, one
+    block of rows at a time as ``simulate`` writes a run."""
     atomic_write(path, trajectory_chunks(_blocks(traj), traj.x.shape[1], format))
 
 
@@ -156,14 +153,15 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     """Parse a trajectory file back into states, active sets, and potentials.
 
     The file is read one line at a time. Every row must hold a valid state:
-    actions 0 or 1, opinions in [0, 1]; active ids lie in 1..n; a potential is
-    on every row or on none. A malformed cell or row raises a ValueError that
-    starts with ``path:line`` and, for an action or opinion, names the player.
+    actions 0 or 1, opinions in [0, 1]; active ids lie in 1..n, and row 0 has
+    none; a potential is on every row or on none. A malformed cell or row
+    raises a ValueError that starts with ``path:line`` and, for an action or
+    opinion, names the player.
     Files do not carry the in-memory stop reason, so the result's stop_reason
     is "unknown".
     """
     *_, decode = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
-    xs, ys, linenos, actives, pots = [], [], [], [], None
+    xs, ys, linenos, actives, shared, pots = [], [], [], [], {}, None
     with open(path, encoding="utf-8") as f:
         rows = decode(path, ((k, line) for k, line in enumerate(f, start=1) if line.strip()))
         n = next(rows)
@@ -177,10 +175,17 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
             if t != len(xs):
                 raise ValueError(f"{where}: time index {t} out of order")
             if xs:
-                if not all(0 <= i < n for i in active):
-                    ids = [i + 1 for i in active]
-                    raise ValueError(f"{where}: active ids must lie in 1..{n}, got {ids}")
-                actives.append(active)
+                # the ids are ints here, so equal sets can be one object,
+                # checked once here and once by the Trajectory
+                if active not in shared:
+                    if not all(0 <= i < n for i in active):
+                        ids = [i + 1 for i in active]
+                        raise ValueError(f"{where}: active ids must lie in 1..{n}, got {ids}")
+                    shared[active] = active
+                actives.append(shared[active])
+            elif active:
+                # a render would drop it: row 0 follows no revision
+                raise ValueError(f"{where}: row 0 has no active ids, got {[i + 1 for i in active]}")
             else:
                 pots = None if pot is None else []
             # the first row decides whether every row has a potential or none does
@@ -194,10 +199,12 @@ def load_trajectory(path: str, format: str = "csv") -> Trajectory:
     # no dtype: an action too large for int64 stays an object for _state_fault
     X = np.array(xs).reshape(len(xs), n or 0)
     Y = np.array(ys, dtype=float).reshape(len(ys), n or 0)
-    fault = _state_fault(X, Y)
-    if fault is not None:
-        raise ValueError(f"{path}:{linenos[fault[0][0]]}: {fault[1]}")
-    return Trajectory(x=X, y=Y, active_sets=tuple(actives), potentials=pots, stop_reason="unknown")
+    try:
+        return Trajectory(x=X, y=Y, active_sets=tuple(actives), potentials=pots, stop_reason="unknown")
+    except ValueError:
+        # the ids and sizes were checked above, so only a state can be refused
+        fault = _state_fault(X, Y)
+        raise ValueError(f"{path}:{linenos[fault[0][0]]}: {fault[1]}") from None
 
 
 def _read(convert, value, where: str, what: str):

@@ -1,9 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-import coevo.io
+import coevo.dynamics
 from coevo.cli import cli_main
 
 
@@ -255,22 +256,23 @@ class TestSimulate:
         assert cli_main(["simulate", config_path, "--quiet", "--out", str(out)]) == 0
         assert out.read_text() == stdout_text
 
-    def test_stdout_is_written_in_slices(self, config_path, capsys, monkeypatch):
+    def test_stdout_is_written_one_row_block_at_a_time(self, config_path, capsys, monkeypatch):
         assert cli_main(["simulate", config_path, "--quiet"]) == 0
         text = capsys.readouterr().out
         writes = []
 
-        class Recorder:
+        class Recorder(io.StringIO):
             def write(self, chunk):
                 writes.append(chunk)
                 return len(chunk)
 
-        monkeypatch.setattr(coevo.io, "_WRITE_SLICE", 100)
+        # one-row blocks: each write is the header and row 0, or one later row
+        monkeypatch.setattr(coevo.dynamics, "_block_rows", lambda n: 1)
         monkeypatch.setattr("sys.stdout", Recorder())
         assert cli_main(["simulate", config_path, "--quiet"]) == 0
-        assert len(text) > 300
-        assert max(map(len, writes)) <= 100
-        assert "".join(writes) == text
+        lines = text.splitlines(keepends=True)
+        assert len(lines) > 3
+        assert writes == ["".join(lines[:2]), *lines[2:]]
 
     def test_json_lines_format(self, config_path, capsys):
         assert cli_main(["simulate", config_path, "--quiet", "--format", "json-lines"]) == 0

@@ -615,6 +615,36 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match=re.escape(message)):
             Trajectory(x=x, y=y, active_sets=active_sets, potentials=None, stop_reason="max_steps")
 
+    @pytest.mark.parametrize(
+        ("active_sets", "message"),
+        [
+            # the renderer would write 8, 0 and 1.5, which the loader refuses
+            (((0,), (7,)), "row 2: active ids must be integers in 0..2, got [7]"),
+            (((-1,), (0,)), "row 1: active ids must be integers in 0..2, got [-1]"),
+            (((0.5,), (0,)), "row 1: active ids must be integers in 0..2, got [0.5]"),
+            # equal to an earlier valid set, but not integers
+            (((1,), (1.0,)), "row 2: active ids must be integers in 0..2, got [1.0]"),
+            (((1,), (True,)), "row 2: active ids must be integers in 0..2, got [True]"),
+            (((0, 1, 2), (0, "a", 2)), "row 2: active ids must be integers in 0..2, got [0, 'a', 2]"),
+        ],
+    )
+    def test_invalid_active_ids_rejected(self, active_sets, message):
+        z = np.zeros((3, 3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trajectory(x=z, y=z, active_sets=active_sets, potentials=None, stop_reason="max_steps")
+
+    def test_a_shared_active_set_is_checked_once(self):
+        # a synchronous run repeats one everyone-set object on every row
+        class Ids(tuple):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
+
+        reads, everyone = [], Ids(range(4))
+        z = np.zeros((101, 4))
+        Trajectory(x=z, y=z, active_sets=(everyone,) * 100, potentials=None, stop_reason="max_steps")
+        assert len(reads) == 1
+
     def test_states_differ_only_at_active_coordinates(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 7))

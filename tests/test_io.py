@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coevo.dynamics as dynamics_module
+import coevo.io as io_module
 from coevo.cli import cli_main
 from coevo.config import load_config
 from coevo.dynamics import Trajectory, make_schedule, run
 from coevo.equilibria import check_all_defection_unique, enumerate_equilibria
 from coevo.io import (
+    TRAJECTORY_FORMATS,
     atomic_write,
     best_response_to_jsonable,
     condition_report_to_jsonable,
@@ -101,16 +103,14 @@ class TestAtomicWrite:
         atomic_write(str(tmp_path / "a.txt"), "x" * 10000)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
-    def test_multibyte_text_across_slices_reads_back(self, tmp_path):
-        from coevo.io import _WRITE_SLICE
-
-        # three slices; the first two end on a 3-byte character
-        text = "é€" * _WRITE_SLICE + "tail é"
-        assert text[_WRITE_SLICE - 1] == text[2 * _WRITE_SLICE - 1] == "€"
+    def test_multibyte_text_reads_back(self, tmp_path):
+        # more than 2 MiB of 2- and 3-byte characters, as one string and as pieces
+        text = "é€" * (1 << 20) + "tail é"
         assert len(text.encode("utf-8")) > 2 * 2**20
         path = tmp_path / "big.txt"
-        atomic_write(str(path), text)
-        assert path.read_bytes() == text.encode("utf-8")
+        for pieces in (text, [text[:7], text[7 : 1 << 20], text[1 << 20 :]]):
+            atomic_write(str(path), pieces)
+            assert path.read_bytes() == text.encode("utf-8")
 
 
 class TestTrajectoryFiles:
@@ -380,6 +380,38 @@ class TestTrajectoryFiles:
         path.write_text('{"t": 0, "active": [], "x": [0], "y": [0.5]}\n' + row + "\n")
         with pytest.raises(ValueError, match=message):
             load_trajectory(str(path), format="json-lines")
+
+    @pytest.mark.parametrize(
+        "fmt, row",
+        [
+            ("csv", "0,2,1,0,0.5,0.5,-1"),
+            ("json-lines", '{"t": 0, "active": [2], "x": [1, 0], "y": [0.5, 0.5], "potential": -1}'),
+        ],
+    )
+    def test_active_ids_on_row_0_rejected(self, tmp_path, fmt, row):
+        # row 0 follows no revision, and a render would drop its ids
+        path = tmp_path / "row0.txt"
+        header = "t,active,x_1,x_2,y_1,y_2,potential\n" if fmt == "csv" else ""
+        path.write_text(header + row + "\n")
+        lineno = 2 if fmt == "csv" else 1
+        with pytest.raises(ValueError, match=rf"row0\.txt:{lineno}: row 0 has no active ids, got \[2\]$"):
+            load_trajectory(str(path), format=fmt)
+
+    def test_states_of_a_valid_file_are_checked_once(self, tmp_path, monkeypatch):
+        # the Trajectory checks them; the loader looks for a line only after a refusal
+        path = tmp_path / "ok.csv"
+        path.write_text("t,active,x_1,x_2,y_1,y_2,potential\n0,,1,0,0.5,0.5,\n1,2,1,1,0.5,0.5,\n")
+        calls = []
+        monkeypatch.setattr(io_module, "_state_fault", lambda *args: calls.append(args))
+        assert len(load_trajectory(str(path))) == 2
+        assert calls == []
+
+    def test_jsonl_row_0_may_leave_out_active(self, tmp_path):
+        path = tmp_path / "row0.jsonl"
+        path.write_text('{"t": 0, "x": [1, 0], "y": [0.5, 0.5]}\n{"t": 1, "active": [2], "x": [1, 1], "y": [0.5, 0.5]}\n')
+        traj = load_trajectory(str(path), format="json-lines")
+        assert traj.active_sets == ((1,),)
+        assert render_trajectory_jsonl(traj).splitlines()[0].startswith('{"active": [], ')
 
     def test_jsonl_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -671,23 +703,25 @@ def test_library_run_and_render_write_the_simulate_bytes(name, rows, tmp_path, m
     assert states_equal(load_trajectory(str(out), format="json-lines"), traj)
 
 
-def _simulate_peak_kib(config: Path, out: Path) -> int:
-    """Peak resident memory in KiB of a fresh interpreter that runs ``coevo simulate --out`` once.
+def _fresh_peak_kib(code: str, argv: list) -> int:
+    """The one number that ``code`` prints when a fresh interpreter runs it with
+    ``argv``; ``code`` may call ``hwm()``, the process's peak memory in KiB.
 
-    This is the process's own high-water mark (``VmHWM``). ``ru_maxrss`` would
-    be the same number, except that Linux carries it over from the process
-    that forked the interpreter, here the larger test runner.
+    That peak is the process's own high-water mark (``VmHWM``). ``ru_maxrss``
+    would be the same number, except that Linux carries it over from the
+    process that forked the interpreter, here the larger test runner.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import sys; from coevo.cli import cli_main; "
-        "assert cli_main(sys.argv[1:]) == 0; "
-        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
-    )
-    argv = ["simulate", str(config), "--out", str(out), "--quiet"]
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    hwm = "def hwm(): return int(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+    done = subprocess.run([sys.executable, "-c", hwm + code, *map(str, argv)], env=env, capture_output=True, text=True, check=True)
     return int(done.stdout)
+
+
+def _simulate_peak_kib(config: Path, out: Path) -> int:
+    """Peak resident memory in KiB of a fresh interpreter that runs ``coevo simulate --out`` once."""
+    code = "import sys; from coevo.cli import cli_main; assert cli_main(sys.argv[1:]) == 0; print(hwm())"
+    return _fresh_peak_kib(code, ["simulate", config, "--out", out, "--quiet"])
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
@@ -702,6 +736,26 @@ def test_simulate_memory_does_not_grow_with_max_steps(tmp_path):
         peaks.append(_simulate_peak_kib(config, out))
         assert out.read_bytes().count(b"\n") == max_steps + 2  # the header and every row
     assert peaks[1] - peaks[0] < 2 * 1024, f"ru_maxrss grew from {peaks[0]} to {peaks[1]} KiB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt", sorted(TRAJECTORY_FORMATS))
+def test_emit_trajectory_memory_does_not_grow_with_rows(fmt, tmp_path):
+    # a rows x 8 trajectory whose opinions all change on every row, about
+    # 200 bytes of text a row: the peak over emit_trajectory must not follow
+    # the rows, as it did while the whole file was one string
+    code = (
+        "import sys, numpy as np; from coevo.dynamics import Trajectory; from coevo.io import emit_trajectory\n"
+        "rows, path, fmt = int(sys.argv[1]), sys.argv[2], sys.argv[3]; rng = np.random.default_rng(0)\n"
+        "traj = Trajectory(rng.integers(0, 2, (rows, 8)), rng.random((rows, 8)), ((0,),) * (rows - 1), rng.random(rows), 'unknown')\n"
+        "before = hwm(); emit_trajectory(traj, path, format=fmt); print(hwm() - before)"
+    )
+    growth = []
+    for rows in (400, 40_000):
+        out = tmp_path / f"rows-{rows}.{fmt}"
+        growth.append(_fresh_peak_kib(code, [rows, out, fmt]))
+        assert out.read_bytes().count(b"\n") == rows + (fmt == "csv")
+    assert growth[1] - growth[0] < 2 * 1024, f"emit_trajectory grew the peak by {growth} KiB"
 
 
 #: A synchronous sweep whose trials include 2-cycles that run until
