@@ -1,14 +1,15 @@
 """Command-line surface.
 
 Subcommands: simulate, enumerate, check-conditions, best-response, sweep,
-validate. Exit codes: 0 success, 1 configuration or usage error, 2 internal
-runtime fault. All file outputs are atomic; identical configs and seeds
-produce byte-identical files.
+validate. Exit codes: 0 success, 1 configuration or usage error or a closed
+stdout, 2 internal runtime fault. All file outputs are atomic; identical
+configs and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .dynamics import _classify, _ended, _run_blocks
+from .dynamics import _classify, _run_blocks
 from .equilibria import (
     ENUMERATION_MAX_N,
     check_all_cooperation_exists,
@@ -121,9 +122,9 @@ def _cmd_validate(args, cfg) -> int:
 def _cmd_simulate(args, cfg) -> int:
     # each block of rows is written as the run yields it: memory does not grow with the steps
     end: list = []
-    blocks = _run_blocks(cfg.initial_state, cfg.schedule, cfg.params, cfg.network,
-                         cfg.max_steps, cfg.fixed_point_tol, record=True)
-    _emit(trajectory_chunks(_ended(blocks, end), cfg.params.n, args.format), args.out)
+    blocks = _run_blocks(cfg.initial_state.x, cfg.initial_state.y, cfg.schedule, cfg.params,
+                         cfg.network, cfg.max_steps, cfg.fixed_point_tol, record=True, end=end)
+    _emit(trajectory_chunks(blocks, cfg.params.n, args.format), args.out)
     x, y, steps, stop_reason, stop_detail = end
     if not args.quiet:
         cls = _classify(x, y)
@@ -250,13 +251,22 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # stdout's reader left; main() owns the descriptor and exits 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports faults as exit 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()  # here, not at exit, so a closed pipe is caught below
+    except BrokenPipeError:
+        # drop what is still buffered: the interpreter's exit flush would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -258,24 +258,22 @@ def _block_rows(n: int) -> int:
     return max(1, 65536 // max(n, 64))
 
 
-def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelParams,
-                net: Network, max_steps: int, fixed_point_tol: float, record: bool):
-    """The loop of ``run`` as a generator; ``run`` states its stopping rules.
+def _run_blocks(x: np.ndarray, y: np.ndarray, schedule: RevisionSchedule, params: ModelParams,
+                net: Network, max_steps: int, fixed_point_tol: float, record: bool, end: list):
+    """The loop of ``run`` as a generator, from actions ``x`` and opinions ``y``.
 
-    With ``record`` it yields the rows in freshly allocated blocks of at most
+    It checks nothing: ``run`` checks its inputs, ``load_config`` those of
+    ``simulate``, and ``sweep`` its own once before its first cell. With
+    ``record`` it yields the rows in freshly allocated blocks of at most
     ``_block_rows(n)``: ``(x, y, active, potentials)``, with ``(rows, n)`` int8
     actions and float64 opinions, each row's active set (``()`` for row 0) and
-    the rows' potentials, or None where undefined. Returns the final actions
-    and opinions, the steps taken, and the stop reason and detail.
+    the rows' potentials, or None where undefined. Before it returns it sets
+    ``end`` to the final actions and opinions, the steps taken, and the stop
+    reason and detail. ``run`` states the stopping rules.
     """
-    _check_sizes(params, net, initial)
-    _check_limits(max_steps, fixed_point_tol)
-    if schedule.n != params.n:
-        raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
-
     n = params.n
-    x = initial.x.astype(np.int8)
-    y = np.array(initial.y)
+    x = x.astype(np.int8)
+    y = np.array(y)
     potentials = None  # a block's potentials from its rows and active sets, or None
     if record and _potential_fault(params) is None:
         from . import arcsum  # here, so `import coevo` and sweeps never compile it
@@ -348,14 +346,9 @@ def _run_blocks(initial: SystemState, schedule: RevisionSchedule, params: ModelP
         if streak >= window:
             stop_reason = "fixed_point"
             break
+    end[:] = x, y, steps, stop_reason, stop_detail
     if record:
         yield block(X[:k], Y[:k], keys)
-    return x, y, steps, stop_reason, stop_detail
-
-
-def _ended(gen, end: list):
-    """Yield what the generator ``gen`` yields, then set ``end`` to what it returns."""
-    end[:] = yield from gen
 
 
 def run(
@@ -387,8 +380,12 @@ def run(
     only the final state is kept and no potential is computed, so memory does
     not grow with ``max_steps``.
     """
+    _check_sizes(params, net, initial)
+    _check_limits(max_steps, fixed_point_tol)
+    if schedule.n != params.n:
+        raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
     end: list = []
-    blocks = list(_ended(_run_blocks(initial, schedule, params, net, max_steps, fixed_point_tol, record), end))
+    blocks = list(_run_blocks(initial.x, initial.y, schedule, params, net, max_steps, fixed_point_tol, record, end))
     x, y, _, stop_reason, stop_detail = end
     X, Y, keys, pots = zip(*blocks) if blocks else ((x[None, :],), (y[None, :],), ((),), (None,))
     potentials = None if pots[0] is None else np.concatenate(pots)

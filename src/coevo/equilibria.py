@@ -30,7 +30,6 @@ from .dynamics import (
     StateClass,
     _check_limits,
     _classify,
-    _ended,
     _run_blocks,
     classify_state,
     make_schedule,
@@ -447,16 +446,14 @@ def sweep(
         trial_seqs = seq.spawn(trials)
         for trial_seq in trial_seqs:
             rng = np.random.default_rng(trial_seq)
-            initial = SystemState(
-                rng.integers(0, 2, size=n).astype(np.int64), rng.random(n)
-            )
+            x, y = rng.integers(0, 2, size=n), rng.random(n)
             schedule = make_schedule(
                 schedule_kind, n, seed=int(rng.integers(2**63 - 1))
             )
-            # unrecorded, the run core yields nothing and returns the final
+            # unrecorded, the run core yields nothing and sets the final
             # actions and opinions, as simulate reads them
             end: list = []
-            list(_ended(_run_blocks(initial, schedule, params, net, max_steps, fixed_point_tol, record=False), end))
+            list(_run_blocks(x, y, schedule, params, net, max_steps, fixed_point_tol, record=False, end=end))
             label = _classify(*end[:2]).full_class
             counts[label] = counts.get(label, 0) + 1
         freqs = {label: count / trials for label, count in sorted(counts.items())}

@@ -91,7 +91,7 @@ def random_network(
         net = Network.from_matrix(W, normalise=True)
         if not require_irreducible or net.is_irreducible:
             return net
-    raise RuntimeError(
+    raise ValueError(
         f"no irreducible draw in {MAX_RETRIES} tries "
         f"(n={n}, edge_probability={edge_probability}); raise the probability"
     )
@@ -121,7 +121,7 @@ def random_symmetric_network(n: int, edge_probability: float, seed: int) -> Netw
         net = Network(W)
         if net.is_irreducible:
             return net
-    raise RuntimeError(
+    raise ValueError(
         f"no connected draw in {MAX_RETRIES} tries "
         f"(n={n}, edge_probability={edge_probability}); raise the probability"
     )

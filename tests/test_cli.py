@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,23 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert message in err
         assert "np." not in err
+
+    @pytest.mark.parametrize(
+        "kind, p, message",
+        [("random", 0.05, "no irreducible draw"), ("random-symmetric", 0.02, "no connected draw")],
+    )
+    def test_failed_random_draw_is_exit_1(self, tmp_path, capsys, kind, p, message):
+        doc = {
+            "params": {"n": 8, "r": 2.0, "alpha": 0.3, "beta": 0.3},
+            "network": {"type": kind, "edge_probability": p, "seed": 1},
+        }
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: network: {message} in 200 tries")
+        assert f"edge_probability={p})" in err
 
     @pytest.mark.parametrize("tol", ["NaN", "Infinity", "0", "-1"])
     def test_fixed_point_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
@@ -534,6 +552,31 @@ class TestSweep:
 
 
 class TestEntryPoint:
+    def test_closed_stdout_is_exit_1(self, tmp_path):
+        """A reader that leaves after the first line ends the run quietly with exit 1."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        doc = {
+            "params": {"n": 64, "r": 2.0, "alpha": 0.4, "beta": 0.3},
+            "network": {"type": "ring"},
+            "initial_state": {"preset": "random", "seed": 0},
+        }
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(coevo.dynamics.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import coevo.cli; coevo.cli.main()", "simulate", str(path), "--quiet"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline().startswith(b"t,active,x_1,")
+        proc.stdout.close()  # the trajectory is megabytes: the run is still writing
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_console_script_is_wired(self, tmp_path):
         """The `coevo` script that a build declares runs `coevo.cli.main`.
 

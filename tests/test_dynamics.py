@@ -451,13 +451,18 @@ class TestRun:
                 assert (state.y >= 0.0).all() and (state.y <= 1.0).all()
 
     def test_schedule_size_mismatch_rejected(self, params_r2, complete4):
-        with pytest.raises(ValueError, match="schedule"):
+        with pytest.raises(ValueError, match="^schedule is for n=5, params for n=4$"):
             run(
                 SystemState.all_defection(4),
                 make_schedule("round-robin", 5),
                 params_r2,
                 complete4,
             )
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_state_size_mismatch_rejected(self, params_r2, complete4, n):
+        with pytest.raises(ValueError, match=f"^size mismatch: state has {n} players, params 4, network 4$"):
+            run(SystemState.all_defection(n), make_schedule("round-robin", 4), params_r2, complete4)
 
 
 class TestIsFixedPoint:

@@ -431,6 +431,21 @@ class TestSweep:
         assert cell.equilibrium_count is None and cell.boundary_count is None
         assert cell.trials == 2
 
+    def test_trials_build_no_system_state(self, monkeypatch):
+        built = []
+        post_init = SystemState.__post_init__
+        monkeypatch.setattr(SystemState, "__post_init__", lambda state: built.append(state) or post_init(state))
+        # past ENUMERATION_MAX_N, so no enumeration builds its equilibria either
+        table = sweep(
+            {"r": [2.0], "alpha": [0.4], "beta": [0.3]},
+            ring_network(ENUMERATION_MAX_N + 1),
+            trials=5,
+            seed=0,
+            max_steps=50,
+        )
+        assert table.cells[0].trials == 5
+        assert built == []
+
     def test_missing_grid_axis_rejected(self, complete4):
         with pytest.raises(ValueError, match="grid"):
             sweep({"r": [2.0], "alpha": [1 / 3]}, complete4)

@@ -56,7 +56,7 @@ class TestGenerators:
 
     def test_random_network_retry_exhaustion(self, monkeypatch):
         monkeypatch.setattr(networks, "MAX_RETRIES", 2)
-        with pytest.raises(RuntimeError, match="irreducible"):
+        with pytest.raises(ValueError, match="irreducible"):
             random_network(12, 0.01, seed=0)
 
     def test_random_symmetric_properties(self):
