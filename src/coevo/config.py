@@ -180,7 +180,9 @@ def _build_network(raw, n: int, base_dir: str) -> Network:
             matrix = section.get("matrix")
             if not isinstance(matrix, list):
                 raise ConfigError("network.matrix must be a list of rows")
-            W = np.array([_numbers(row, "network.matrix rows") for row in matrix])
+            # each row as long as the first, so a ragged one is named, not left to numpy
+            width = len(matrix[0]) if matrix and isinstance(matrix[0], list) else None
+            W = np.array([_numbers(row, f"network.matrix row {k}", width) for k, row in enumerate(matrix, 1)])
             build = partial(Network.from_matrix, W, normalise=section.flag("normalise", False))
         elif kind == "file":
             # an absolute path replaces base_dir

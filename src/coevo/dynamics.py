@@ -23,12 +23,13 @@ from .model import (
     RevisionTerms,
     SystemState,
     _check_sizes,
+    _check_state,
     _check_vector,
     _is_int,
     _opinion,
+    _regime_fault,
     _revision,
     _revision_terms,
-    _state_fault,
     _stationarity,
 )
 
@@ -201,9 +202,7 @@ class Trajectory:
                 f"got {x.shape} and {y.shape}"
             )
         # checked before the cast, which would truncate 0.7 to 0 and wrap 300 to 44
-        fault = _state_fault(x, y)
-        if fault is not None:
-            raise ValueError(f"row {fault[0][0]}: {fault[1]}")
+        _check_state(x, y)
         object.__setattr__(self, "x", np.asarray(x, dtype=np.int8))
         object.__setattr__(self, "y", y)
         expected = max(len(x) - 1, 0)
@@ -412,14 +411,10 @@ def is_fixed_point(
 def _potential_fault(params: ModelParams) -> str | None:
     """Why the potential is undefined for ``params``, or None where it is defined:
     every gamma zero and every beta positive."""
-    for values, bad, why in (
-        (params.gamma, params.gamma != 0.0, "is defined only for zero prejudice attachment, got gamma"),
-        (params.beta, params.beta <= 0.0, "divides by beta, got beta"),
-    ):
-        if bad.any():
-            k = int(np.argmax(bad))
-            return f"player {k + 1}: the potential {why}={values[k]}"
-    return None
+    return _regime_fault(params, (
+        ("gamma", params.gamma != 0.0, "the potential is defined only for zero prejudice attachment"),
+        ("beta", params.beta <= 0.0, "the potential divides by beta"),
+    ))
 
 
 def potential(y, params: ModelParams, net: Network) -> float:
@@ -434,7 +429,7 @@ def potential(y, params: ModelParams, net: Network) -> float:
     fault = _potential_fault(params)
     if fault is not None:
         raise ValueError(fault)
-    y = _check_vector("opinion vector", y, params.n)
+    y = _check_vector(y, params.n)
     spread = float((net.W / 2 * (y[:, None] - y[None, :]) ** 2).sum())
     return -0.5 * (spread + float((params.lam / params.beta * y**2).sum()))
 
@@ -463,7 +458,7 @@ def potential_matrix_is_positive_definite(params: ModelParams, net: Network) -> 
 def potential_quadratic(y, params: ModelParams, net: Network) -> float:
     """Quadratic-form evaluation of the potential; equals potential() for symmetric W."""
     M = potential_matrix(params, net)
-    y = _check_vector("opinion vector", y, params.n)
+    y = _check_vector(y, params.n)
     return -0.5 * float(y @ M @ y)
 
 

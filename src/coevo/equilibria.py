@@ -39,9 +39,11 @@ from .model import (
     ModelParams,
     Network,
     SystemState,
-    _check_actions,
     _check_sizes,
+    _check_vector,
+    _interior_fault,
     _is_int,
+    _regime_fault,
     _revision,
     _revision_terms,
     _stationarity,
@@ -76,16 +78,13 @@ class ConditionReport:
     all_hold: bool
 
 
-def _condition_report(params: ModelParams, condition_id: str, what: str) -> ConditionReport:
+def _condition_report(params: ModelParams, condition_id: str) -> ConditionReport:
     """Each player's condition from ``_stationarity`` at (1, 1), with the social term
     exactly 1.0 as the condition has no W: cooperation exists where that profile is
     stable, and defection is unique where it is not, so ties defect."""
-    if not params.strict_interior:
-        raise ValueError(
-            f"{what} is stated for players with alpha, beta, lam strictly inside "
-            f"(0, 1) and zero prejudice attachment; these params fall outside that "
-            f"regime (strict_interior is False)"
-        )
+    fault = _interior_fault(params)
+    if fault is not None:
+        raise ValueError(fault)
     terms, ones = _revision_terms(params), np.ones(params.n)
     stable = _stationarity(ones, ones, ones, params)[0]
     holds = stable if condition_id == CONDITION_ALL_COOPERATION_EXISTS else ~stable
@@ -99,7 +98,7 @@ def check_all_defection_unique(params: ModelParams) -> ConditionReport:
     Holds for player i iff beta*lam/(beta+lam) <= 2*alpha*(1 - r/n), sides equal
     within the tie band counting as equal.
     """
-    return _condition_report(params, CONDITION_ALL_DEFECTION_UNIQUE, "the defection-uniqueness condition")
+    return _condition_report(params, CONDITION_ALL_DEFECTION_UNIQUE)
 
 
 def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
@@ -108,22 +107,16 @@ def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
     Holds for player i iff beta*lam/(beta+lam) > 2*alpha*(1 - r/n) beyond the tie
     band, the exact complement of the defection-uniqueness condition.
     """
-    return _condition_report(params, CONDITION_ALL_COOPERATION_EXISTS, "the cooperation-existence condition")
+    return _condition_report(params, CONDITION_ALL_COOPERATION_EXISTS)
 
 
 def _require_solvable(params: ModelParams) -> None:
-    if (params.gamma != 0.0).any():
-        bad = int(np.argmax(params.gamma != 0.0))
-        raise ValueError(
-            f"player {bad + 1}: stationary opinions are solved for zero prejudice "
-            f"attachment only, got gamma={params.gamma[bad]}"
-        )
-    if (params.lam <= 0.0).any():
-        bad = int(np.argmax(params.lam <= 0.0))
-        raise ValueError(
-            f"player {bad + 1}: lam must be positive so the opinion system contracts "
-            f"(beta/(beta+lam) < 1), got lam={params.lam[bad]}"
-        )
+    fault = _regime_fault(params, (
+        ("gamma", params.gamma != 0.0, "stationary opinions are solved for zero prejudice attachment only"),
+        ("lam", params.lam <= 0.0, "lam must be positive so the opinion system contracts (beta/(beta+lam) < 1)"),
+    ))
+    if fault is not None:
+        raise ValueError(fault)
 
 
 def _opinion_system(params: ModelParams, net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +143,7 @@ def solve_opinion_equilibrium(
     preconditions, so a singular solve is an internal fault.
     """
     _require_solvable(params)
-    x = _check_actions(x, params.n)
+    x = _check_vector(x, params.n, actions=True)
     _check_sizes(params, net)
     M, psi, phi = _opinion_system(params, net)
     rhs = psi * x

@@ -131,15 +131,26 @@ class ModelParams:
 
     @property
     def strict_interior(self) -> bool:
-        """True when all of alpha, beta, lam lie strictly inside (0, 1) and gamma is 0.
+        """True when all of alpha, beta, lam lie strictly inside (0, 1) and gamma is 0: the
+        regime of the consensus conditions, whose checks refuse params outside it."""
+        return _interior_fault(self) is None
 
-        The closed-form analysis of the consensus equilibria is stated under
-        this regime; analysis routines that rely on it check this flag.
-        """
-        for w in (self.alpha, self.beta, self.lam):
-            if (w <= 0.0).any() or (w >= 1.0).any():
-                return False
-        return bool((self.gamma == 0.0).all())
+
+def _regime_fault(params: ModelParams, rules) -> str | None:
+    """The first player outside a parameter regime, or None inside it. ``rules`` lists
+    ``(field, bad, why)`` in order, ``bad`` a per-player mask of that field."""
+    for name, bad, why in rules:
+        if bad.any():
+            k = int(np.argmax(bad))
+            return f"player {k + 1}: {why}, got {name}={getattr(params, name)[k]}"
+    return None
+
+
+def _interior_fault(params: ModelParams) -> str | None:
+    """``_regime_fault`` of the strict interior: alpha, beta, lam inside (0, 1), gamma 0."""
+    why = "the consensus conditions are stated for the strict interior (alpha, beta, lam inside (0, 1), gamma = 0)"
+    weights = [(w, (getattr(params, w) <= 0.0) | (getattr(params, w) >= 1.0), why) for w in ("alpha", "beta", "lam")]
+    return _regime_fault(params, [*weights, ("gamma", params.gamma != 0.0, why)])
 
 
 def _reaches_all(A: np.ndarray) -> bool:
@@ -227,6 +238,13 @@ def _state_fault(x, y) -> tuple[tuple[int, ...], str] | None:
     return (*row, player), f"player {player + 1}: {rule}, got {values[tuple(row)].tolist()[player]!r}"
 
 
+def _check_state(x, y) -> None:
+    """Raise ``_state_fault``'s message, led by ``row t: `` for ``(rows, n)`` arrays."""
+    fault = _state_fault(x, y)
+    if fault is not None:
+        raise ValueError(fault[1] if len(fault[0]) == 1 else f"row {fault[0][0]}: {fault[1]}")
+
+
 @dataclass(frozen=True, eq=False)
 class SystemState:
     """Joint state: action vector x in {0,1}^n and opinion vector y in [0,1]^n."""
@@ -246,9 +264,7 @@ class SystemState:
                 f"action and opinion vectors differ in length: {x.shape} vs {y.shape}"
             )
         # checked before the cast, which would truncate 0.7 to 0
-        fault = _state_fault(x, y)
-        if fault is not None:
-            raise ValueError(fault[1])
+        _check_state(x, y)
         object.__setattr__(self, "x", _frozen_array(x, dtype=np.int64))
         object.__setattr__(self, "y", _frozen_array(y))
 
@@ -314,18 +330,13 @@ def _check_player(i: int, n: int) -> int:
     return i
 
 
-def _check_vector(name: str, values, n: int) -> np.ndarray:
+def _check_vector(values, n: int, actions: bool = False) -> np.ndarray:
+    """``values`` as a length-``n`` float vector, checked as ``SystemState``'s actions or opinions."""
     out = np.asarray(values, dtype=float)
     if out.shape != (n,):
-        raise ValueError(f"{name} must have length {n}, got shape {out.shape}")
+        raise ValueError(f"{'action' if actions else 'opinion'} vector must have length {n}, got shape {out.shape}")
+    _check_state(out if actions else None, np.zeros(n) if actions else out)
     return out
-
-
-def _check_actions(x, n: int) -> np.ndarray:
-    x = _check_vector("action vector", x, n)
-    if not np.isin(x, (0.0, 1.0)).all():
-        raise ValueError("action vector entries must be 0 or 1")
-    return x
 
 
 def _check_sizes(params: ModelParams, net: Network, state: SystemState | None = None) -> None:
@@ -343,7 +354,7 @@ def pgg_payoff(i: int, x, params: ModelParams) -> float:
     contributing.
     """
     i = _check_player(i, params.n)
-    x = _check_actions(x, params.n)
+    x = _check_vector(x, params.n, actions=True)
     others = float(x.sum() - x[i])
     if x[i]:
         return params.r * (others + 1.0) / params.n - 1.0
@@ -357,7 +368,7 @@ def opinion_payoff(i: int, y, params: ModelParams, net: Network) -> float:
     ``1 - gamma``) and with the player's own prejudice (weight ``gamma``).
     """
     i = _check_player(i, params.n)
-    y = _check_vector("opinion vector", y, params.n)
+    y = _check_vector(y, params.n)
     _check_sizes(params, net)
     g = params.gamma[i]
     disagreement = float(np.dot(net.W[i], (y[i] - y) ** 2))
@@ -382,7 +393,7 @@ def social_term(i: int, y, net: Network) -> float:
     Lies in [0, 1] whenever the opinions do, because rows of W sum to 1.
     """
     i = _check_player(i, net.n)
-    y = _check_vector("opinion vector", y, net.n)
+    y = _check_vector(y, net.n)
     return float(np.dot(net.W[i], y))
 
 

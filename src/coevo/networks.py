@@ -33,17 +33,14 @@ def complete_network(n: int) -> Network:
 def ring_network(n: int) -> Network:
     """Cycle where each node splits its weight over its two ring neighbours.
 
-    For n=2 the two nodes point at each other with weight 1.
+    For n=2 both halves land on the other node: the two point at each other with weight 1.
     """
     if n < 2:
         raise ValueError(f"ring network needs n >= 2, got {n}")
     W = np.zeros((n, n))
-    if n == 2:
-        W[0, 1] = W[1, 0] = 1.0
-    else:
-        for i in range(n):
-            W[i, (i - 1) % n] = 0.5
-            W[i, (i + 1) % n] = 0.5
+    for i in range(n):
+        W[i, (i - 1) % n] += 0.5
+        W[i, (i + 1) % n] += 0.5
     return Network(W)
 
 

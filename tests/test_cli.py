@@ -412,6 +412,16 @@ class TestCheckConditions:
         got = [cell[k] for k in ("all_defection_unique", "all_cooperation_exists", "equilibrium_count", "boundary_count")]
         assert got == [True, False, 1, 1]
 
+    def test_outside_the_interior_names_player_and_weight(self, tmp_path, capsys):
+        # alpha = 1 leaves beta = lam = 0, where the conditions are not stated
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"params": {"n": 4, "r": 2.0, "alpha": 1.0, "beta": 0.0}}))
+        assert cli_main(["check-conditions", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: player 1: the consensus conditions are stated for the strict interior")
+        assert captured.err.rstrip().endswith("got alpha=1.0")
+
     def test_out_file_document(self, config_path, tmp_path):
         out = tmp_path / "conditions.json"
         assert cli_main(["check-conditions", config_path, "--out", str(out)]) == 0

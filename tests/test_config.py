@@ -286,6 +286,15 @@ class TestRejections:
             ("network", {"type": "file", "path": ["net.edges"]}, r"network.path must be a string, got \['net.edges'\]"),
             ("network", {"type": "grid", "cols": 2}, "network.rows is required"),
             ("network", {"seed": 1}, "network.type is required"),
+            ("params", [4, 2.0], "params must be an object"),
+            ("params", {"n": 4, "r": 2.0, "alpha": "0.25", "beta": 0.25}, "params.alpha must be a number or a list of 4 numbers"),
+            ("network", {"type": "inline", "matrix": "0,1;1,0"}, "network.matrix must be a list of rows"),
+            ("initial_state", 5, "initial_state must be a preset name or an object"),
+            ("initial_state", {"x": [1, 0, 1, 0]}, "initial_state object needs either"),
+            # each inline row is held to the length of the first
+            ("network", {"type": "inline", "matrix": [[0, 1], [1]]}, "network.matrix row 2 must have 2 entries, got 1"),
+            ("network", {"type": "inline", "matrix": [[0, 1, 1, 1], [1, 0, 1, 1, 1]]}, "network.matrix row 2 must have 4 entries, got 5"),
+            ("network", {"type": "inline", "matrix": [[0, 1], [1, "0"]]}, "network.matrix row 2 must be a list of numbers"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, section, value, field):

@@ -536,6 +536,37 @@ class TestPotential:
         with pytest.raises(ValueError, match="beta"):
             potential(np.zeros(4), p, complete4)
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda params, net: potential(np.zeros(4), params, net),
+            lambda params, net: potential_quadratic(np.zeros(4), params, net),
+            potential_matrix,
+            potential_matrix_is_positive_definite,
+        ],
+        ids=["potential", "potential_quadratic", "potential_matrix", "positive_definite"],
+    )
+    @pytest.mark.parametrize(
+        "gamma, beta, message",
+        [
+            ([0, 0, 0.1, 0], [1 / 3] * 4, "player 3: the potential is defined only for zero prejudice attachment, got gamma=0.1"),
+            ([0] * 4, [1 / 3, 0, 1 / 3, 0], "player 2: the potential divides by beta, got beta=0.0"),
+        ],
+        ids=["gamma", "beta"],
+    )
+    def test_every_form_names_the_first_player_without_a_potential(self, complete4, form, gamma, beta, message):
+        beta = np.array(beta)
+        params = ModelParams(
+            n=4, r=2.0, alpha=np.full(4, 1 / 3), beta=beta, lam=2 / 3 - beta, gamma=np.array(gamma), prejudice=np.full(4, 0.5)
+        )
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            form(params, complete4)
+
+    def test_matrix_is_singular_without_consistency_weight(self):
+        # lam = 0 leaves M = I - W, which has the all-ones vector in its kernel
+        params = ModelParams.uniform(2, 1.5, 0.5, 0.5, 0.0)
+        assert not potential_matrix_is_positive_definite(params, ring_network(2))
+
     def test_quadratic_rejects_asymmetric_network(self, rng):
         p = random_interior_params(rng, 4)
         net = Network(np.array([
@@ -613,6 +644,8 @@ class TestTrajectoryType:
             ([[300, 1]], [[0.5, 0.5]], "row 0: player 1: action must be 0 or 1, got 300"),
             ([[0, 1]], [[0.5, 1.5]], "row 0: player 2: opinion must lie in [0, 1], got 1.5"),
             ([[0, 1], [0, 1]], [[0.5, 0.5], [0.5, float("nan")]], "row 1: player 2: opinion must lie in [0, 1], got nan"),
+            ([0, 1], [0.5, 0.5], "actions and opinions must be (rows, n) arrays of one shape, got (2,) and (2,)"),
+            ([[0, 1]], [[0.5]], "actions and opinions must be (rows, n) arrays of one shape, got (1, 2) and (1, 1)"),
         ],
     )
     def test_invalid_rows_rejected(self, x, y, message):
@@ -637,6 +670,17 @@ class TestTrajectoryType:
         z = np.zeros((3, 3))
         with pytest.raises(ValueError, match=re.escape(message)):
             Trajectory(x=z, y=z, active_sets=active_sets, potentials=None, stop_reason="max_steps")
+
+    def test_potentials_must_align_with_rows(self):
+        z = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="potentials must align with states"):
+            Trajectory(x=z, y=z, active_sets=((0,),), potentials=[0.0], stop_reason="max_steps")
+
+    def test_empty_trajectory_has_no_final_state(self):
+        z = np.zeros((0, 2))
+        traj = Trajectory(x=z, y=z, active_sets=(), potentials=None, stop_reason="unknown")
+        with pytest.raises(ValueError, match="empty trajectory has no final state"):
+            traj.final
 
     def test_a_shared_active_set_is_checked_once(self):
         # a synchronous run repeats one everyone-set object on every row

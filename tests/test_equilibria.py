@@ -114,6 +114,30 @@ class TestConditions:
         with pytest.raises(ValueError, match="interior"):
             check_all_defection_unique(attached)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, player, got",
+        [
+            # alpha is scanned first, though beta and lam are also 0 here
+            ([1.0] * 4, [0.0] * 4, [0] * 4, 1, "alpha=1.0"),
+            ([0.4] * 4, [0.3, 0.3, 0.0, 0.0], [0] * 4, 3, "beta=0.0"),
+            ([0.4] * 4, [0.3, 0.6, 0.3, 0.6], [0] * 4, 2, "lam=0.0"),
+            ([0.4] * 4, [0.3] * 4, [0, 0, 0.2, 0.2], 3, "gamma=0.2"),
+        ],
+        ids=["alpha", "beta", "lam", "gamma"],
+    )
+    def test_refusal_names_the_first_player_outside_the_interior(self, alpha, beta, gamma, player, got):
+        alpha, beta = np.array(alpha), np.array(beta)
+        params = ModelParams(
+            n=4, r=2.0, alpha=alpha, beta=beta, lam=1.0 - alpha - beta, gamma=np.array(gamma), prejudice=np.full(4, 0.5)
+        )
+        message = (
+            f"player {player}: the consensus conditions are stated for the strict interior "
+            f"(alpha, beta, lam inside (0, 1), gamma = 0), got {got}"
+        )
+        for check in (check_all_defection_unique, check_all_cooperation_exists):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                check(params)
+
     def test_per_player_heterogeneity(self, complete4):
         alpha = np.array([0.2, 1 / 3, 1 / 3, 1 / 3])
         beta = np.array([0.4, 1 / 3, 1 / 3, 1 / 3])
@@ -449,6 +473,10 @@ class TestSweep:
     def test_missing_grid_axis_rejected(self, complete4):
         with pytest.raises(ValueError, match="grid"):
             sweep({"r": [2.0], "alpha": [1 / 3]}, complete4)
+
+    def test_unknown_grid_axis_rejected(self, complete4):
+        with pytest.raises(ValueError, match=re.escape("unknown grid axes ['gamma']; use r, alpha, beta")):
+            sweep({"r": [2.0], "alpha": [1 / 3], "beta": [1 / 3], "gamma": [0.1]}, complete4)
 
     @pytest.mark.parametrize(
         "argument,message",

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coevo.dynamics import potential, potential_quadratic
+from coevo.equilibria import solve_opinion_equilibrium
 from coevo.model import (
     DISCRIMINANT_TIE_TOL,
     BestResponseSet,
@@ -91,6 +93,19 @@ class TestModelParams:
         p = self._four_players(np.int64(4))
         assert p.n == 4 and type(p.n) is int
 
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("alpha", np.full(3, 1 / 3), "alpha must have length 4, got shape (3,)"),
+            ("beta", np.array([1 / 3, np.nan, 1 / 3, 1 / 3]), "beta contains non-finite entries"),
+        ],
+    )
+    def test_malformed_weight_vector_is_named(self, field, values, message):
+        third = np.full(4, 1 / 3)
+        weights = dict(alpha=third, beta=third, lam=third, gamma=np.zeros(4), prejudice=third)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            ModelParams(n=4, r=2.0, **{**weights, field: values})
+
     def test_arrays_are_read_only(self):
         p = ModelParams.uniform(2, 1.5, 1 / 3, 1 / 3, 1 / 3)
         with pytest.raises(ValueError):
@@ -157,6 +172,19 @@ class TestNetwork:
         with pytest.raises(ValueError, match="square"):
             Network(np.ones((2, 3)) / 3)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Network(np.zeros((0, 0))), "influence matrix must have at least one node"),
+            (lambda: Network(np.array([[np.nan, 1.0], [1.0, 0.0]])), "influence matrix contains non-finite entries"),
+            (lambda: Network.from_matrix(np.ones((2, 3)), normalise=True), "influence matrix must be square, got shape (2, 3)"),
+        ],
+        ids=["empty", "nan", "normalise-non-square"],
+    )
+    def test_malformed_matrix_rejected(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            build()
+
 
 class TestSystemState:
     def test_actions_must_be_binary(self):
@@ -166,6 +194,18 @@ class TestSystemState:
     def test_opinions_must_be_in_unit_interval(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SystemState(np.array([0, 1]), np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (["a", "b"], [0.5, 0.5], "actions must be numeric 0/1 values"),
+            (np.zeros((2, 2)), np.zeros((2, 2)), "action vector must be 1-d, got shape (2, 2)"),
+        ],
+        ids=["text", "2-d"],
+    )
+    def test_malformed_vectors_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            SystemState(x, y)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in length"):
@@ -346,6 +386,12 @@ class TestBestResponse:
                         other = total_payoff(i, SystemState(x_alt, yy_alt), params, net)
                         assert achieved >= other - 1e-9
 
+    def test_opinion_for_an_action_outside_the_set(self, params_r2, complete4):
+        br = best_response(0, np.zeros(4), params_r2, complete4)
+        assert br.actions == (0,)
+        with pytest.raises(KeyError, match="action 1 is not a best response"):
+            br.opinion_for(1)
+
     def test_best_response_set_arity_validated(self):
         with pytest.raises(ValueError, match="one or two"):
             BestResponseSet(entries=(), discriminant_value=0.0)
@@ -469,6 +515,58 @@ class TestPlayerIndex:
     def test_out_of_range_is_an_index_error(self, entry, params_r2, complete4):
         with pytest.raises(IndexError, match="player index 4 out of range for n=4"):
             entry(4, params_r2, complete4)
+
+
+#: Every entry point that takes an opinion vector, and every one that takes an
+#: action vector, called on that vector for the n=4 game.
+OPINION_ENTRY_POINTS = {
+    "opinion_payoff": lambda y, params, net: opinion_payoff(1, y, params, net),
+    "social_term": lambda y, params, net: social_term(1, y, net),
+    "discriminant": lambda y, params, net: discriminant(1, y, params, net),
+    "best_response": lambda y, params, net: best_response(1, y, params, net),
+    "potential": potential,
+    "potential_quadratic": potential_quadratic,
+}
+ACTION_ENTRY_POINTS = {
+    "pgg_payoff": lambda x, params, net: pgg_payoff(1, x, params),
+    "solve_opinion_equilibrium": solve_opinion_equilibrium,
+}
+
+
+@pytest.mark.parametrize("entry", OPINION_ENTRY_POINTS.values(), ids=OPINION_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        # NaN fails every comparison, so it would pass as a defect pull, and 5s
+        # would give an opinion near 3
+        ([0.1, 0.4, np.nan, 0.9], "player 3: opinion must lie in [0, 1], got nan"),
+        ([0.1, 1.5, 0.7, 0.9], "player 2: opinion must lie in [0, 1], got 1.5"),
+        ([-0.25, 0.4, 0.7, 0.9], "player 1: opinion must lie in [0, 1], got -0.25"),
+        ([5, 5, 5, 5], "player 1: opinion must lie in [0, 1], got 5.0"),
+        ([0.1, 0.4, 0.7], "opinion vector must have length 4, got shape (3,)"),
+    ],
+    ids=["nan", "1.5", "negative", "all-5", "short"],
+)
+def test_opinions_are_checked_by_the_state_rule(entry, params_r2, complete4, y, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        entry(np.array(y), params_r2, complete4)
+
+
+@pytest.mark.parametrize("entry", ACTION_ENTRY_POINTS.values(), ids=ACTION_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([0, 0.5, 1, 0], "player 2: action must be 0 or 1, got 0.5"),
+        ([0, 1, 2, 0], "player 3: action must be 0 or 1, got 2.0"),
+        ([0, 1, 0, np.nan], "player 4: action must be 0 or 1, got nan"),
+        ([0, 1, 0], "action vector must have length 4, got shape (3,)"),
+    ],
+    ids=["0.5", "2", "nan", "short"],
+)
+def test_actions_are_checked_by_the_state_rule(entry, params_r2, complete4, x, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        entry(np.array(x), params_r2, complete4)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))

@@ -29,6 +29,26 @@ class TestGenerators:
         net = ring_network(2)
         np.testing.assert_array_equal(net.W, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ring_is_half_weight_on_each_neighbour(self, n):
+        # for n=2 both halves land on the one neighbour
+        eye = np.eye(n)
+        want = 0.5 * np.roll(eye, 1, axis=1) + 0.5 * np.roll(eye, -1, axis=1)
+        np.testing.assert_array_equal(ring_network(n).W, want)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (ring_network, "ring network needs n >= 2, got 1"),
+            (lambda n: random_network(n, 0.5, seed=0), "random network needs n >= 2, got 1"),
+            (lambda n: random_symmetric_network(n, 0.5, seed=0), "random symmetric network needs n >= 2, got 1"),
+        ],
+        ids=["ring", "random", "random-symmetric"],
+    )
+    def test_one_node_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(1)
+
     def test_ring_splits_weight(self):
         net = ring_network(5)
         assert net.W[0, 1] == 0.5 and net.W[0, 4] == 0.5
@@ -170,6 +190,19 @@ class TestDenseCsvFormat:
         p.write_text(text)
         with pytest.raises(ValueError, match=where):
             load_network(str(p), format="dense-csv")
+
+    @pytest.mark.parametrize(
+        "format, text, message",
+        [
+            ("edge-list", "# a comment only\n\n", "no edges found"),
+            ("dense-csv", "# weights\n\n", "empty matrix"),
+        ],
+    )
+    def test_file_without_weights_rejected(self, tmp_path, format, text, message):
+        p = tmp_path / "net.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=r"net\.txt: " + message + "$"):
+            load_network(str(p), format=format)
 
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "net.csv"
