@@ -20,8 +20,7 @@ from .config import ConfigError, load_config
 from .dynamics import _classify, _run_blocks
 from .equilibria import (
     ENUMERATION_MAX_N,
-    check_all_cooperation_exists,
-    check_all_defection_unique,
+    _condition_reports,
     enumerate_equilibria,
     sweep,
 )
@@ -158,8 +157,7 @@ def _format_condition_line(report) -> str:
 
 
 def _cmd_check_conditions(args, cfg) -> int:
-    defection = check_all_defection_unique(cfg.params)
-    cooperation = check_all_cooperation_exists(cfg.params)
+    defection, cooperation = _condition_reports(cfg.params)
     print(_format_condition_line(defection))
     print(_format_condition_line(cooperation))
     if args.out is not None:

@@ -89,7 +89,8 @@ class RevisionSchedule:
         return T if T is not None else 4 * self.n
 
     def sets(self) -> Iterator[tuple[int, ...]]:
-        """Fresh infinite iterator of active sets (0-based indices).
+        """Fresh infinite iterator of active sets (0-based indices), each
+        distinct set one tuple object throughout.
 
         Repeated calls replay the identical sequence; stochastic kinds are
         seeded.
@@ -99,19 +100,17 @@ class RevisionSchedule:
             everyone = tuple(range(n))
             while True:
                 yield everyone
-        elif self.kind == "round-robin":
+        singles = tuple((i,) for i in range(n))
+        if self.kind == "round-robin":
             while True:
-                for i in range(n):
-                    yield (i,)
-        elif self.kind == "shuffled-rounds":
-            rng = np.random.default_rng(self.seed)
+                yield from singles
+        rng = np.random.default_rng(self.seed)
+        if self.kind == "shuffled-rounds":
             while True:
                 for i in rng.permutation(n):
-                    yield (int(i),)
-        else:  # iid-random
-            rng = np.random.default_rng(self.seed)
-            while True:
-                yield (int(rng.integers(n)),)
+                    yield singles[i]
+        while True:  # iid-random
+            yield singles[rng.integers(n)]
 
 
 def make_schedule(kind: str, n: int, seed: int | None = None) -> RevisionSchedule:
@@ -210,7 +209,7 @@ class Trajectory:
             raise ValueError(
                 f"{len(x)} states need {expected} active sets, got {len(self.active_sets)}"
             )
-        # each set object once, as a synchronous run repeats one everyone-set;
+        # each set object once, as a run repeats its schedule's few set objects;
         # by identity, not equality, since (1.0,) == (1,)
         n, checked = x.shape[1], set()
         for row, ids in enumerate(self.active_sets, start=1):

@@ -78,18 +78,22 @@ class ConditionReport:
     all_hold: bool
 
 
-def _condition_report(params: ModelParams, condition_id: str) -> ConditionReport:
-    """Each player's condition from ``_stationarity`` at (1, 1), with the social term
-    exactly 1.0 as the condition has no W: cooperation exists where that profile is
-    stable, and defection is unique where it is not, so ties defect."""
+def _condition_reports(params: ModelParams) -> tuple[ConditionReport, ConditionReport]:
+    """Both conditions, defection then cooperation, from one ``_stationarity`` pass at
+    (1, 1) with the social term exactly 1.0 as the condition has no W: cooperation exists
+    where that profile is stable, and defection is unique where it is not, so ties defect."""
     fault = _interior_fault(params)
     if fault is not None:
         raise ValueError(fault)
     terms, ones = _revision_terms(params), np.ones(params.n)
     stable = _stationarity(ones, ones, ones, params)[0]
-    holds = stable if condition_id == CONDITION_ALL_COOPERATION_EXISTS else ~stable
-    rows = tuple((float(a), float(b), bool(h)) for a, b, h in zip(terms.coupling, -2.0 * terms.base, holds))
-    return ConditionReport(condition_id, rows, bool(holds.all()))
+    sides = list(zip(terms.coupling.tolist(), (-2.0 * terms.base).tolist()))
+
+    def report(condition_id, holds):
+        rows = tuple((*side, h) for side, h in zip(sides, holds.tolist()))
+        return ConditionReport(condition_id, rows, bool(holds.all()))
+
+    return report(CONDITION_ALL_DEFECTION_UNIQUE, ~stable), report(CONDITION_ALL_COOPERATION_EXISTS, stable)
 
 
 def check_all_defection_unique(params: ModelParams) -> ConditionReport:
@@ -98,7 +102,7 @@ def check_all_defection_unique(params: ModelParams) -> ConditionReport:
     Holds for player i iff beta*lam/(beta+lam) <= 2*alpha*(1 - r/n), sides equal
     within the tie band counting as equal.
     """
-    return _condition_report(params, CONDITION_ALL_DEFECTION_UNIQUE)
+    return _condition_reports(params)[0]
 
 
 def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
@@ -107,7 +111,7 @@ def check_all_cooperation_exists(params: ModelParams) -> ConditionReport:
     Holds for player i iff beta*lam/(beta+lam) > 2*alpha*(1 - r/n) beyond the tie
     band, the exact complement of the defection-uniqueness condition.
     """
-    return _condition_report(params, CONDITION_ALL_COOPERATION_EXISTS)
+    return _condition_reports(params)[1]
 
 
 def _require_solvable(params: ModelParams) -> None:
@@ -378,8 +382,9 @@ def sweep(
     ``grid`` maps axis names to value lists; axes are ``r``, ``alpha``,
     ``beta``, combined by cartesian product. Every player shares the cell's
     weights, with lam = 1 - alpha - beta and zero prejudice attachment. Cells
-    that violate the model's invariants are reported in ``invalid_cells`` and
-    skipped. Enumeration is skipped (count None) when n exceeds
+    that violate the model's invariants or lie outside the conditions' strict
+    interior are skipped and reported in ``invalid_cells`` with the refusal's
+    message. Enumeration is skipped (count None) when n exceeds
     ``ENUMERATION_MAX_N``.
     """
     unknown = set(grid) - {"r", "alpha", "beta"}
@@ -417,16 +422,10 @@ def sweep(
         lam = 1.0 - a - b
         try:
             params = ModelParams.uniform(n, r, a, b, lam)
+            cond_defect, cond_coop = _condition_reports(params)
         except ValueError as exc:
             invalid.append((spec_dict, str(exc)))
             continue
-        if not params.strict_interior:
-            invalid.append(
-                (spec_dict, "weights must lie strictly inside (0, 1) for analysis")
-            )
-            continue
-        cond_defect = check_all_defection_unique(params)
-        cond_coop = check_all_cooperation_exists(params)
         if n <= ENUMERATION_MAX_N:
             report = enumerate_equilibria(params, net)
             eq_count: int | None = len(report.equilibria)

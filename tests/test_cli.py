@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coevo.dynamics
+import coevo.equilibria
 from coevo.cli import cli_main
 
 
@@ -209,6 +210,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: network: {message} in 200 tries")
         assert f"edge_probability={p})" in err
+
+    @pytest.mark.parametrize("p, default_out", [(0.2, "irreducible=True"), (0.05, None)])
+    def test_reducible_random_draw_is_kept_when_allowed(self, tmp_path, capsys, p, default_out):
+        network = {"type": "random", "edge_probability": p, "seed": 0}
+        doc = {"params": {"n": 6, "r": 2.0, "alpha": 0.3, "beta": 0.3}, "network": network}
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps({**doc, "network": {**network, "require_irreducible": False}}))
+        assert cli_main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("irreducible=False")
+        assert cli_main(["simulate", str(path), "--quiet"]) == 0
+        capsys.readouterr()
+        # by default the draw is re-sampled until irreducible, or refused
+        path.write_text(json.dumps(doc))
+        rc = cli_main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        if default_out is None:
+            assert rc == 1 and out == "" and f"edge_probability={p})" in err
+        else:
+            assert rc == 0 and out.rstrip().endswith(default_out)
 
     @pytest.mark.parametrize("tol", ["NaN", "Infinity", "0", "-1"])
     def test_fixed_point_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
@@ -421,6 +441,15 @@ class TestCheckConditions:
         assert captured.out == ""
         assert captured.err.startswith("error: player 1: the consensus conditions are stated for the strict interior")
         assert captured.err.rstrip().endswith("got alpha=1.0")
+
+    def test_one_interior_scan_and_one_stationarity_pass(self, config_path, capsys, monkeypatch):
+        calls = []
+        for name in ("_interior_fault", "_stationarity"):
+            real = getattr(coevo.equilibria, name)
+            monkeypatch.setattr(coevo.equilibria, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        assert cli_main(["check-conditions", config_path]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert sorted(calls) == ["_interior_fault", "_stationarity"]
 
     def test_out_file_document(self, config_path, tmp_path):
         out = tmp_path / "conditions.json"

@@ -82,6 +82,13 @@ class TestSchedules:
         draws = {next(it)[0] for _ in range(200)}
         assert draws == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("kind", ["round-robin", "shuffled-rounds", "iid-random"])
+    def test_one_player_sets_are_one_object_each(self, kind):
+        n = 6
+        sets = list(itertools.islice(make_schedule(kind, n, seed=1).sets(), 4 * n))
+        assert {active[0] for active in sets} == set(range(n))
+        assert len({id(active) for active in sets}) == n
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown schedule kind"):
             make_schedule("alternating", 4)
@@ -302,6 +309,20 @@ class TestRun:
             max_steps=5,
         )
         assert traj.active_sets == ((0,), (1,), (2,), (3,), (0,))
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_active_sets_share_one_object_per_set(self, kind):
+        n = 6
+        rng = np.random.default_rng(0)
+        traj = run(
+            SystemState(rng.integers(0, 2, n), rng.random(n)),
+            make_schedule(kind, n, seed=1),
+            ModelParams.uniform(n, 2.0, 0.3, 0.3, 0.4),
+            ring_network(n),
+            max_steps=200,
+        )
+        assert len(traj.active_sets) > 2 * n
+        assert len({id(active) for active in traj.active_sets}) <= n + 1
 
     def test_divergence_guard_reports_last_valid_state(self, params_r2, complete4, monkeypatch):
         # the guard is unreachable through valid inputs; force the raw update

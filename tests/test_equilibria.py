@@ -17,6 +17,7 @@ from coevo.dynamics import (
     step,
 )
 import coevo.equilibria as equilibria_module
+import coevo.model as model_module
 from coevo.equilibria import (
     CONDITION_ALL_COOPERATION_EXISTS,
     CONDITION_ALL_DEFECTION_UNIQUE,
@@ -448,12 +449,33 @@ class TestSweep:
             max_steps=50,
         )
         assert table.invalid_cells == (
-            ({"r": 2.0, "alpha": 0.5, "beta": 0.5}, "weights must lie strictly inside (0, 1) for analysis"),
+            (
+                {"r": 2.0, "alpha": 0.5, "beta": 0.5},
+                "player 1: the consensus conditions are stated for the strict interior "
+                "(alpha, beta, lam inside (0, 1), gamma = 0), got lam=0.0",
+            ),
         )
         (cell,) = table.cells
         assert (cell.alpha, cell.beta) == (0.5, 0.3)
         assert cell.equilibrium_count is None and cell.boundary_count is None
         assert cell.trials == 2
+
+    def test_one_cell_scans_the_interior_and_decides_the_conditions_once(self, monkeypatch):
+        calls = []
+        for module, name in ((equilibria_module, "_interior_fault"), (model_module, "_interior_fault"),
+                             (equilibria_module, "_stationarity")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        # past ENUMERATION_MAX_N, so no enumeration makes a stationarity pass of its own
+        table = sweep(
+            {"r": [2.0], "alpha": [0.4], "beta": [0.3]},
+            ring_network(ENUMERATION_MAX_N + 1),
+            trials=1,
+            seed=0,
+            max_steps=50,
+        )
+        assert len(table.cells) == 1
+        assert sorted(calls) == ["_interior_fault", "_stationarity"]
 
     def test_trials_build_no_system_state(self, monkeypatch):
         built = []
