@@ -122,7 +122,7 @@ def _cmd_simulate(args, cfg) -> int:
     # each block of rows is written as the run yields it: memory does not grow with the steps
     end: list = []
     blocks = _run_blocks(cfg.initial_state.x, cfg.initial_state.y, cfg.schedule, cfg.params,
-                         cfg.network, cfg.max_steps, cfg.fixed_point_tol, record=True, end=end)
+                         cfg.network, cfg.max_steps, cfg.fixed_point_tol, end=end)
     _emit(trajectory_chunks(blocks, cfg.params.n, args.format), args.out)
     x, y, steps, stop_reason, stop_detail = end
     if not args.quiet:

@@ -257,30 +257,28 @@ def _block_rows(n: int) -> int:
 
 
 def _run_blocks(x: np.ndarray, y: np.ndarray, schedule: RevisionSchedule, params: ModelParams,
-                net: Network, max_steps: int, fixed_point_tol: float, record: bool, end: list):
-    """The loop of ``run`` as a generator, from actions ``x`` and opinions ``y``.
+                net: Network, max_steps: int, fixed_point_tol: float, end: list):
+    """The recorded loop of ``run`` as a generator, from actions ``x`` and opinions ``y``.
 
-    It checks nothing: ``run`` checks its inputs, ``load_config`` those of
-    ``simulate``, and ``sweep`` its own once before its first cell. With
-    ``record`` it yields the rows in freshly allocated blocks of at most
+    It checks nothing: ``run`` checks its inputs and ``load_config`` those of
+    ``simulate``. It yields the rows in freshly allocated blocks of at most
     ``_block_rows(n)``: ``(x, y, active, potentials)``, with ``(rows, n)`` int8
     actions and float64 opinions, each row's active set (``()`` for row 0) and
-    the rows' potentials, or None where undefined. Before it returns it sets
-    ``end`` to the final actions and opinions, the steps taken, and the stop
-    reason and detail. ``run`` states the stopping rules.
+    the rows' potentials, or None where undefined. Before its last block it
+    sets ``end`` to the final actions and opinions, the steps taken, and the
+    stop reason and detail. ``run`` states the stopping rules.
     """
     n = params.n
     x = x.astype(np.int8)
     y = np.array(y)
     potentials = None  # a block's potentials from its rows and active sets, or None
-    if record and _potential_fault(params) is None:
+    if _potential_fault(params) is None:
         from . import arcsum  # here, so `import coevo` and sweeps never compile it
 
         potentials = arcsum.recorder(params, net.W)
-    if record:
-        B = _block_rows(n)
-        X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
-        X[0], Y[0] = x, y
+    B = _block_rows(n)
+    X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
+    X[0], Y[0] = x, y
 
     def block(X, Y, keys):
         return X, Y, keys, None if potentials is None else potentials(Y, keys)
@@ -332,21 +330,108 @@ def _run_blocks(x: np.ndarray, y: np.ndarray, schedule: RevisionSchedule, params
             )
             x[idx] = s
             y[idx] = y_active
-        if record:
-            if k == B:
-                yield block(X, Y, keys)
-                X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [], 0
-            X[k] = x
-            Y[k] = y
-            keys.append(key)
-            k += 1
+        if k == B:
+            yield block(X, Y, keys)
+            X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [], 0
+        X[k] = x
+        Y[k] = y
+        keys.append(key)
+        k += 1
         streak = streak + 1 if change <= fixed_point_tol else 0
         if streak >= window:
             stop_reason = "fixed_point"
             break
     end[:] = x, y, steps, stop_reason, stop_detail
-    if record:
-        yield block(X[:k], Y[:k], keys)
+    yield block(X[:k], Y[:k], keys)
+
+
+def _social_stacked(W: np.ndarray, Y: np.ndarray, players: np.ndarray | None) -> np.ndarray:
+    """``W @ y`` of each row ``y`` of ``Y`` with ``players`` None, else ``W[i] @ y``
+    of each row's player ``i`` as a column, in one stacked matmul."""
+    if players is None:
+        return np.matmul(W, Y[:, :, None])[:, :, 0]
+    return np.matmul(W[players][:, None, :], Y[:, :, None])[:, 0]
+
+
+def _social_each(W: np.ndarray, Y: np.ndarray, players: np.ndarray | None) -> np.ndarray:
+    """``_social_stacked`` one row at a time, by the matvecs of ``_revise``."""
+    rows = [W] * len(Y) if players is None else [W[i : i + 1] for i in players]
+    return np.stack([w @ y for w, y in zip(rows, Y)])
+
+
+def _run_batch(X: np.ndarray, Y: np.ndarray, schedules: list, terms: RevisionTerms, W: np.ndarray,
+               max_steps: int, fixed_point_tol: float):
+    """Unrecorded runs in lockstep: trial t from actions ``X[t]`` and opinions ``Y[t]``
+    along ``schedules[t]``, all of one kind, with ``terms`` whose fields broadcast
+    to ``(trials, n)``, so trials may differ in their weights.
+
+    A step revises every live trial's set with one stacked matvec and the
+    elementwise best response of ``_revise``, and each trial stops by ``run``'s
+    rules with the bits, steps, reason and detail of ``_run_blocks``. numpy does
+    not document that a stacked matmul gives the bits of one matvec per trial:
+    random probe rows check it once per batch, and on a mismatch the social
+    terms are taken one trial at a time. Checks nothing. Returns the final int8
+    actions and opinions, and each trial's steps, stop reason and detail.
+    """
+    X, Y = X.astype(np.int8), np.array(Y, dtype=float)
+    T, n = Y.shape
+    kind, window = schedules[0].kind, schedules[0].stability_window
+    everyone = kind == "synchronous"
+    # the deterministic kinds give every trial the same set at the same step
+    iters = [schedules[0].sets()] if kind in ("synchronous", "round-robin") else [s.sets() for s in schedules]
+    probe, probe_players = np.random.default_rng(0).random((8, n)), None if everyone else np.arange(8) % n
+    same = np.array_equal(_social_stacked(W, probe, probe_players), _social_each(W, probe, probe_players))
+    social = _social_stacked if same else _social_each
+    blend = () if terms.blend is None else terms.blend
+    tt = np.stack([np.broadcast_to(f, (T, n)) for f in (*terms[:5], *blend)])  # (fields, live trials, n)
+    steps, reasons, details = np.full(T, max_steps), ["max_steps"] * T, [""] * T
+    # the live trials' rows: X and Y themselves until the first trial stops
+    live, x, y, streak = np.arange(T), X, Y, np.zeros(T, dtype=np.int64)
+    lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
+    for step_no in range(1, max_steps + 1):
+        rows = np.arange(len(live))[:, None]
+        if everyone:
+            players, cols, t = None, np.arange(n)[None, :], tt
+        else:  # one shared set, or one per trial
+            players = np.broadcast_to(np.fromiter((next(it)[0] for it in iters), np.intp, len(iters)), len(live))
+            cols = players[:, None]
+            t = tt[:, rows, cols]
+        t = RevisionTerms(*t[:5], (t[5], t[6]) if blend else None)
+        delta, pulled = _revision(social(W, y, players), t)
+        s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
+        y_raw = _opinion(s, pulled, t)
+        x_old, y_old = x[rows, cols], y[rows, cols]
+        stop = np.zeros(len(live), dtype=bool)
+        # NaN fails every comparison, so non-finite updates trip the guard too
+        if not (y_raw.min() >= lo and y_raw.max() <= hi):
+            out = ~((y_raw >= lo) & (y_raw <= hi))
+            stop = out.any(axis=1)
+            for r in np.flatnonzero(stop):
+                j, k = int(np.argmax(out[r])), live[r]
+                player = int(np.broadcast_to(cols, out.shape)[r, j])
+                steps[k], reasons[k] = step_no - 1, "divergence_guard"
+                details[k] = f"player {player + 1}: raw opinion {float(y_raw[r, j])!r}"
+            # a diverging trial ends at the state before this step
+            s[stop], y_raw[stop] = x_old[stop], y_old[stop]
+        # inactive coordinates are untouched, so they contribute exactly 0; a
+        # changed action moves by exactly 1
+        y_new = y_raw.clip(0.0, 1.0)  # keeps -0.0
+        change = np.maximum(np.abs(y_new - y_old).max(axis=1), (s != x_old).any(axis=1))
+        x[rows, cols], y[rows, cols] = s, y_new
+        streak = np.where(change <= fixed_point_tol, streak + 1, 0)
+        fixed = (streak >= window) & ~stop
+        for k in live[fixed]:
+            steps[k], reasons[k] = step_no, "fixed_point"
+        stop |= fixed
+        if stop.any():
+            X[live[stop]], Y[live[stop]] = x[stop], y[stop]
+            keep = ~stop
+            live, x, y, tt, streak = live[keep], x[keep], y[keep], tt[:, keep], streak[keep]
+            iters = iters if len(iters) == 1 else [it for it, kept in zip(iters, keep) if kept]
+            if not len(live):
+                break
+    X[live], Y[live] = x, y
+    return X, Y, steps, reasons, details
 
 
 def run(
@@ -374,21 +459,25 @@ def run(
 
     With ``record`` every state is kept, and the potential of each is logged,
     bit for bit as ``potential`` gives it, by ``arcsum.recorder`` whenever it
-    is defined (all gamma zero, all beta positive). Without it
-    only the final state is kept and no potential is computed, so memory does
-    not grow with ``max_steps``.
+    is defined (all gamma zero, all beta positive). Without it the run is a
+    ``_run_batch`` of one trial, with the same stop and final bits: only the
+    final state is kept and no potential is computed, so memory does not grow
+    with ``max_steps``, and every player's ``beta + lam`` is checked up front.
     """
     _check_sizes(params, net, initial)
     _check_limits(max_steps, fixed_point_tol)
     if schedule.n != params.n:
         raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
+    if not record:
+        X, Y, _, (stop_reason,), (stop_detail,) = _run_batch(
+            initial.x[None], initial.y[None], [schedule], _revision_terms(params), net.W, max_steps, fixed_point_tol)
+        return Trajectory(X, Y, (), None, stop_reason, stop_detail)
     end: list = []
-    blocks = list(_run_blocks(initial.x, initial.y, schedule, params, net, max_steps, fixed_point_tol, record, end))
-    x, y, _, stop_reason, stop_detail = end
-    X, Y, keys, pots = zip(*blocks) if blocks else ((x[None, :],), (y[None, :],), ((),), (None,))
+    blocks = list(_run_blocks(initial.x, initial.y, schedule, params, net, max_steps, fixed_point_tol, end))
+    X, Y, keys, pots = zip(*blocks)
     potentials = None if pots[0] is None else np.concatenate(pots)
     active_sets = tuple(chain.from_iterable(keys))[1:]
-    return Trajectory(np.concatenate(X), np.concatenate(Y), active_sets, potentials, stop_reason, stop_detail)
+    return Trajectory(np.concatenate(X), np.concatenate(Y), active_sets, potentials, *end[3:])
 
 
 def is_fixed_point(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
 
@@ -30,7 +31,7 @@ from .dynamics import (
     StateClass,
     _check_limits,
     _classify,
-    _run_blocks,
+    _run_batch,
     classify_state,
     make_schedule,
 )
@@ -38,6 +39,7 @@ from .model import (
     DISCRIMINANT_TIE_TOL,
     ModelParams,
     Network,
+    RevisionTerms,
     SystemState,
     _check_sizes,
     _check_vector,
@@ -385,7 +387,10 @@ def sweep(
     that violate the model's invariants or lie outside the conditions' strict
     interior are skipped and reported in ``invalid_cells`` with the refusal's
     message. Enumeration is skipped (count None) when n exceeds
-    ``ENUMERATION_MAX_N``.
+    ``ENUMERATION_MAX_N``. Each trial draws its start and schedule seed from
+    its cell's stream; the trials of every cell then run as one lockstep batch
+    of unrecorded runs (``dynamics._run_batch``), which ends each one with the
+    bits of a run of its own.
     """
     unknown = set(grid) - {"r", "alpha", "beta"}
     if unknown:
@@ -415,8 +420,9 @@ def sweep(
     master = np.random.SeedSequence(seed)
     cell_seqs = master.spawn(len(cell_specs))
 
-    cells: list[SweepCell] = []
+    cells: list[dict] = []  # each valid cell's fields, its outcomes to come
     invalid: list[tuple[dict, str]] = []
+    X, Y, schedules, cell_terms = [], [], [], []
     for (r, a, b), seq in zip(cell_specs, cell_seqs):
         spec_dict = {"r": r, "alpha": a, "beta": b}
         lam = 1.0 - a - b
@@ -433,38 +439,27 @@ def sweep(
         else:
             eq_count = None
             boundary_count = None
-
-        counts: dict[str, int] = {}
-        trial_seqs = seq.spawn(trials)
-        for trial_seq in trial_seqs:
+        for trial_seq in seq.spawn(trials):
             rng = np.random.default_rng(trial_seq)
-            x, y = rng.integers(0, 2, size=n), rng.random(n)
-            schedule = make_schedule(
-                schedule_kind, n, seed=int(rng.integers(2**63 - 1))
-            )
-            # unrecorded, the run core yields nothing and sets the final
-            # actions and opinions, as simulate reads them
-            end: list = []
-            list(_run_blocks(x, y, schedule, params, net, max_steps, fixed_point_tol, record=False, end=end))
-            label = _classify(*end[:2]).full_class
-            counts[label] = counts.get(label, 0) + 1
-        freqs = {label: count / trials for label, count in sorted(counts.items())}
-        cells.append(
-            SweepCell(
-                r=r,
-                alpha=a,
-                beta=b,
-                lam=lam,
-                all_defection_unique=cond_defect.all_hold,
-                all_cooperation_exists=cond_coop.all_hold,
-                equilibrium_count=eq_count,
-                boundary_count=boundary_count,
-                outcome_frequencies=freqs,
-                trials=trials,
-            )
-        )
+            X.append(rng.integers(0, 2, size=n))
+            Y.append(rng.random(n))
+            schedules.append(make_schedule(schedule_kind, n, seed=int(rng.integers(2**63 - 1))))
+        cell_terms.append(_revision_terms(params)[:5])
+        cells.append(dict(r=r, alpha=a, beta=b, lam=lam, all_defection_unique=cond_defect.all_hold,
+                          all_cooperation_exists=cond_coop.all_hold, equilibrium_count=eq_count,
+                          boundary_count=boundary_count, trials=trials))
+    labels: list[str] = []
+    if cells:
+        # every trial of every cell in one batch, each with its cell's terms;
+        # sweep cells hold no prejudice attachment, so no blend
+        terms = RevisionTerms(*(np.repeat(f, trials, axis=0) for f in map(np.stack, zip(*cell_terms))), None)
+        X, Y, *_ = _run_batch(np.array(X), np.array(Y), schedules, terms, net.W, max_steps, fixed_point_tol)
+        labels = [_classify(x, y).full_class for x, y in zip(X, Y)]
+    for c, cell in enumerate(cells):
+        counts = Counter(labels[c * trials : (c + 1) * trials])
+        cell["outcome_frequencies"] = {label: count / trials for label, count in sorted(counts.items())}
     return SweepTable(
-        cells=tuple(cells),
+        cells=tuple(SweepCell(**cell) for cell in cells),
         invalid_cells=tuple(invalid),
         schedule_kind=schedule_kind,
         seed=seed,

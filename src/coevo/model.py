@@ -353,8 +353,11 @@ def pgg_payoff(i: int, x, params: ModelParams) -> float:
     contribution; a defector receives the same pool share without
     contributing.
     """
-    i = _check_player(i, params.n)
-    x = _check_vector(x, params.n, actions=True)
+    return _pgg_payoff(_check_player(i, params.n), _check_vector(x, params.n, actions=True), params)
+
+
+def _pgg_payoff(i: int, x: np.ndarray, params: ModelParams) -> float:
+    """``pgg_payoff`` of a checked player and action vector."""
     others = float(x.sum() - x[i])
     if x[i]:
         return params.r * (others + 1.0) / params.n - 1.0
@@ -370,19 +373,28 @@ def opinion_payoff(i: int, y, params: ModelParams, net: Network) -> float:
     i = _check_player(i, params.n)
     y = _check_vector(y, params.n)
     _check_sizes(params, net)
+    return _opinion_payoff(i, y, params, net)
+
+
+def _opinion_payoff(i: int, y: np.ndarray, params: ModelParams, net: Network) -> float:
+    """``opinion_payoff`` of a checked player, opinion vector and network."""
     g = params.gamma[i]
     disagreement = float(np.dot(net.W[i], (y[i] - y) ** 2))
     return -0.5 * (1.0 - g) * disagreement - 0.5 * g * (y[i] - params.prejudice[i]) ** 2
 
 
 def total_payoff(i: int, state: SystemState, params: ModelParams, net: Network) -> float:
-    """Joint payoff: alpha * game share + beta * opinion payoff - lam/2 * (x - y)^2."""
+    """Joint payoff: alpha * game share + beta * opinion payoff - lam/2 * (x - y)^2.
+
+    The state checked its vectors when it was built, so only the player and
+    the sizes are checked here.
+    """
     i = _check_player(i, params.n)
     _check_sizes(params, net, state)
     consistency = 0.5 * params.lam[i] * float(state.x[i] - state.y[i]) ** 2
     return (
-        params.alpha[i] * pgg_payoff(i, state.x, params)
-        + params.beta[i] * opinion_payoff(i, state.y, params, net)
+        params.alpha[i] * _pgg_payoff(i, state.x, params)
+        + params.beta[i] * _opinion_payoff(i, state.y, params, net)
         - consistency
     )
 

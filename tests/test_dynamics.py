@@ -22,11 +22,12 @@ from coevo.dynamics import (
     potential_matrix,
     potential_matrix_is_positive_definite,
     potential_quadratic,
+    _run_batch,
     run,
     step,
 )
 from coevo.equilibria import verify_nash
-from coevo.model import ModelParams, Network, SystemState
+from coevo.model import ModelParams, Network, RevisionTerms, SystemState, _revision_terms
 from coevo.networks import complete_network, grid_network, random_symmetric_network, ring_network
 from instances import (
     convergence_instance,
@@ -1000,3 +1001,137 @@ def test_arc_sum_and_term_buffer_match_the_plain_formula(seed, n, support, rows,
         ):
             np.testing.assert_array_equal(_bits(arcsum.recorder(params, W)(Y, keys)), expected)
         assert taken.call_count == 1
+
+
+def _serial_end(initial, schedule, params, net, max_steps):
+    """The end of the recorded, one-run-at-a-time loop: final actions and opinion
+    bits, steps, stop reason and detail."""
+    traj = run(initial, schedule, params, net, max_steps=max_steps)
+    return traj.x[-1].tolist(), _bits(traj.y[-1]).tolist(), len(traj) - 1, traj.stop_reason, traj.stop_detail
+
+
+def _stacked_terms(param_list):
+    """The revision terms of one run per entry of ``param_list``, stacked as (trials, n)."""
+    per_trial = [_revision_terms(params) for params in param_list]
+    fields = [np.stack(f) for f in zip(*(t[:5] for t in per_trial))]
+    blends = [t.blend for t in per_trial]
+    blend = None if blends[0] is None else tuple(np.stack(b) for b in zip(*blends))
+    return RevisionTerms(*fields, blend)
+
+
+def _poison_opinions(rate):
+    """``_opinion`` pushed 5.0 past the valid region wherever it exceeds 0.05 and
+    the fraction of its value times 2**20 falls below ``rate``: elementwise on
+    the same bits, so the serial and lockstep loops diverge at the same step of
+    the same trials, and a low rate spares some trials."""
+    real = dynamics_module._opinion
+
+    def poisoned(*args):
+        o = real(*args)
+        return o + 5.0 * ((o > 0.05) & (o * 2.0**20 % 1.0 < rate))
+
+    return mock.patch.object(dynamics_module, "_opinion", poisoned)
+
+
+def _check_batch_against_serial(rng, kind, net, param_list, starts, max_steps):
+    n = net.n
+    schedules = [make_schedule(kind, n, seed=int(rng.integers(2**32))) for _ in starts]
+    X, Y, steps, reasons, details = _run_batch(
+        np.stack([s.x for s in starts]), np.stack([s.y for s in starts]), schedules,
+        _stacked_terms(param_list), net.W, max_steps, 1e-10,
+    )
+    ends = []
+    for t, (initial, schedule, params) in enumerate(zip(starts, schedules, param_list)):
+        want = _serial_end(initial, schedule, params, net, max_steps)
+        assert (X[t].tolist(), _bits(Y[t]).tolist(), int(steps[t]), reasons[t], details[t]) == want
+        # a batch of one through the public door, which carries any prejudice blend
+        lean = run(initial, schedule, params, net, max_steps=max_steps, record=False)
+        assert (lean.x[0].tolist(), _bits(lean.y[0]).tolist(), lean.stop_reason, lean.stop_detail) == (
+            want[0], want[1], want[3], want[4])
+        ends.append(want[3])
+    return ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SCHEDULE_KINDS),
+    st.sampled_from(("dense", "ring", "random")),
+    st.sampled_from(("interior", "prejudiced", "tied", "edge")),
+    st.integers(1, 6),
+    st.integers(1, 120),
+    st.sampled_from((None, 0.01, 0.05)),
+)
+def test_lockstep_batch_matches_serial_runs(seed, kind, shape, weights, trials, max_steps, poison):
+    # oracle for the lockstep core: every trial of one batch ends where the
+    # recorded serial loop ends it, with the same actions, opinion bits, steps,
+    # stop reason and detail. Trials differ in start, schedule seed and
+    # weights, as a sweep's cells do; "tied" and "edge" put all-cooperation's
+    # discriminant on the tie band, and a poisoned opinion formula forces the
+    # divergence guard in the trials whose opinions pass the threshold.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8)) if shape == "dense" else int(rng.integers(3, 20))
+    net = random_row_stochastic(rng, n) if shape == "dense" else _sparse_network(rng, shape, n)
+    pool = []
+    for _ in range(2):
+        if weights == "tied":
+            params = tied_params(rng, n)
+        elif weights == "edge":
+            params = edge_params(rng, n)[int(rng.integers(9))]
+        else:
+            params = random_interior_params(rng, n)
+        if weights == "prejudiced":
+            params = dataclasses.replace(params, gamma=rng.uniform(0.05, 0.9, n), prejudice=rng.random(n))
+        pool.append(params)
+    param_list = [pool[int(rng.integers(2))] for _ in range(trials)]
+    starts = [SystemState.all_cooperation(n) if rng.random() < 0.3 else random_state(rng, n) for _ in range(trials)]
+    with nullcontext() if poison is None else _poison_opinions(poison):
+        _check_batch_against_serial(rng, kind, net, param_list, starts, max_steps)
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_lockstep_divergence_stops_some_trials_and_not_others(kind):
+    rng = np.random.default_rng(5)
+    n = 6
+    net = random_row_stochastic(rng, n)
+    param_list = [random_interior_params(rng, n) for _ in range(12)]
+    starts = [random_state(rng, n) for _ in range(12)]
+    with _poison_opinions(0.02):
+        ends = _check_batch_against_serial(rng, kind, net, param_list, starts, 60)
+    assert "divergence_guard" in ends
+    assert {"fixed_point", "max_steps"} & set(ends)
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_a_stacked_matvec_off_by_one_bit_falls_back_to_per_trial_matvecs(kind, monkeypatch):
+    # the probe compares the stacked matmul with one matvec per trial; one
+    # bit off, the batch takes every social term one trial at a time and
+    # still ends each trial as the serial loop does
+    calls = {"stacked": 0, "each": 0}
+    stacked, each = dynamics_module._social_stacked, dynamics_module._social_each
+
+    def off_by_one_bit(*args):
+        calls["stacked"] += 1
+        return np.nextafter(stacked(*args), np.inf)
+
+    def counted(*args):
+        calls["each"] += 1
+        return each(*args)
+
+    monkeypatch.setattr(dynamics_module, "_social_stacked", off_by_one_bit)
+    monkeypatch.setattr(dynamics_module, "_social_each", counted)
+    rng = np.random.default_rng(11)
+    n = 5
+    net = random_row_stochastic(rng, n)
+    param_list = [random_interior_params(rng, n) for _ in range(4)]
+    starts = [random_state(rng, n) for _ in range(4)]
+    X, Y, steps, reasons, details = _run_batch(
+        np.stack([s.x for s in starts]), np.stack([s.y for s in starts]),
+        [make_schedule(kind, n, seed=t) for t in range(4)], _stacked_terms(param_list), net.W, 40, 1e-10,
+    )
+    # the probe is the one stacked call, and every step took the per-trial path
+    assert calls["stacked"] == 1
+    assert calls["each"] == 1 + int(steps.max())
+    for t in range(4):
+        want = _serial_end(starts[t], make_schedule(kind, n, seed=t), param_list[t], net, 40)
+        assert (X[t].tolist(), _bits(Y[t]).tolist(), int(steps[t]), reasons[t], details[t]) == want

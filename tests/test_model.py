@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coevo.model as model_module
 from coevo.dynamics import potential, potential_quadratic
 from coevo.equilibria import solve_opinion_equilibrium
 from coevo.model import (
@@ -295,6 +296,24 @@ class TestTotalPayoff:
                 assert total_payoff(i, state, params, net) == pytest.approx(
                     expected, abs=1e-12
                 )
+
+
+    def test_checks_the_built_state_no_further(self, params_r2, complete4, monkeypatch):
+        # the state checked both vectors when it was built; the public payoffs
+        # each check theirs again, the joint payoff neither
+        state = SystemState(np.array([1, 0, 1, 0]), np.array([0.2, 0.4, 0.6, 0.8]))
+        calls = []
+        real = model_module._check_state
+        monkeypatch.setattr(model_module, "_check_state", lambda *a: calls.append(a) or real(*a))
+        joint = total_payoff(1, state, params_r2, complete4)
+        assert calls == []
+        parts = (
+            params_r2.alpha[1] * pgg_payoff(1, state.x, params_r2)
+            + params_r2.beta[1] * opinion_payoff(1, state.y, params_r2, complete4)
+            - 0.5 * params_r2.lam[1] * float(state.x[1] - state.y[1]) ** 2
+        )
+        assert len(calls) == 2
+        assert joint == parts
 
 
 class TestSocialTerm:
