@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .dynamics import _classify, _run_blocks
+from .dynamics import _classify, _run_trials
 from .equilibria import (
     ENUMERATION_MAX_N,
     _condition_reports,
@@ -35,7 +35,7 @@ from .io import (
     trajectory_chunks,
     write_json,
 )
-from .model import _state_fault, best_response
+from .model import _revision_terms, _state_fault, best_response
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,10 +121,11 @@ def _cmd_validate(args, cfg) -> int:
 def _cmd_simulate(args, cfg) -> int:
     # each block of rows is written as the run yields it: memory does not grow with the steps
     end: list = []
-    blocks = _run_blocks(cfg.initial_state.x, cfg.initial_state.y, cfg.schedule, cfg.params,
-                         cfg.network, cfg.max_steps, cfg.fixed_point_tol, end=end)
+    blocks = _run_trials(cfg.initial_state.x[None], cfg.initial_state.y[None], [cfg.schedule],
+                         _revision_terms(cfg.params), cfg.network.W, cfg.max_steps, cfg.fixed_point_tol, end,
+                         cfg.params)
     _emit(trajectory_chunks(blocks, cfg.params.n, args.format), args.out)
-    x, y, steps, stop_reason, stop_detail = end
+    (x,), (y,), (steps,), (stop_reason,), (stop_detail,) = end
     if not args.quiet:
         cls = _classify(x, y)
         detail = f" ({stop_detail})" if stop_detail else ""

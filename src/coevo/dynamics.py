@@ -55,7 +55,8 @@ class RevisionSchedule:
     """A reproducible generator of active player sets, one set per time step.
 
     Every set is one player ``(i,)`` or everyone ``(0, ..., n-1)``: a sorted,
-    contiguous run of 0-based indices, which ``run`` reads as one slice.
+    contiguous run of 0-based indices. A lone run reads it as one slice, and a
+    step of many runs as one column per run or all of them.
     ``seed`` drives the stochastic kinds; the deterministic kinds keep it so
     that callers can read back the seed a schedule was built with.
     """
@@ -256,182 +257,161 @@ def _block_rows(n: int) -> int:
     return max(1, 65536 // max(n, 64))
 
 
-def _run_blocks(x: np.ndarray, y: np.ndarray, schedule: RevisionSchedule, params: ModelParams,
-                net: Network, max_steps: int, fixed_point_tol: float, end: list):
-    """The recorded loop of ``run`` as a generator, from actions ``x`` and opinions ``y``.
-
-    It checks nothing: ``run`` checks its inputs and ``load_config`` those of
-    ``simulate``. It yields the rows in freshly allocated blocks of at most
-    ``_block_rows(n)``: ``(x, y, active, potentials)``, with ``(rows, n)`` int8
-    actions and float64 opinions, each row's active set (``()`` for row 0) and
-    the rows' potentials, or None where undefined. Before its last block it
-    sets ``end`` to the final actions and opinions, the steps taken, and the
-    stop reason and detail. ``run`` states the stopping rules.
-    """
-    n = params.n
-    x = x.astype(np.int8)
-    y = np.array(y)
-    potentials = None  # a block's potentials from its rows and active sets, or None
-    if _potential_fault(params) is None:
-        from . import arcsum  # here, so `import coevo` and sweeps never compile it
-
-        potentials = arcsum.recorder(params, net.W)
-    B = _block_rows(n)
-    X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
-    X[0], Y[0] = x, y
-
-    def block(X, Y, keys):
-        return X, Y, keys, None if potentials is None else potentials(Y, keys)
-
-    # schedules repeat a few distinct sets, each one player or everyone: keep
-    # each one's slice, influence rows and revision terms, so a step is one
-    # matvec and the best response, in float arithmetic for one player (whose
-    # terms are Python floats) and elementwise for everyone
-    prepared: dict[tuple[int, ...], tuple] = {}
-
-    lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
-    window = schedule.stability_window
-    streak = 0
-    stop_reason = "max_steps"
-    stop_detail = ""
-    sets_iter = schedule.sets()
-    for steps in range(1, max_steps + 1):
-        key = next(sets_iter)
-        entry = prepared.get(key)
-        if entry is None:
-            idx = slice(key[0], key[-1] + 1)
-            terms = _revision_terms(params, idx)
-            entry = prepared[key] = (idx, net.W[idx], terms.item() if len(key) == 1 else terms)
-        idx, rows_w, terms = entry
-        s, y_raw = _revise(y, rows_w, terms)
-        one = len(key) == 1
-        # NaN fails every comparison, so non-finite updates trip the guard too
-        if not ((lo <= y_raw <= hi) if one else (y_raw.min() >= lo and y_raw.max() <= hi)):
-            raw = np.atleast_1d(y_raw)
-            bad = int(np.argmax(~((raw >= lo) & (raw <= hi))))
-            stop_reason = "divergence_guard"
-            stop_detail = f"player {key[bad] + 1}: raw opinion {float(raw[bad])!r}"
-            steps -= 1
-            break
-        # inactive coordinates are untouched, so they contribute exactly 0; a
-        # changed action moves by exactly 1
-        if one:
-            i = key[0]
-            y_new = min(max(y_raw, 0.0), 1.0)  # keeps -0.0, as ndarray.clip does
-            change = max(abs(y_new - y.item(i)), float(s != x.item(i)))
-            x[i] = s
-            y[i] = y_new
-        else:
-            # the array methods skip the module functions' dispatch layers
-            y_active = y_raw.clip(0.0, 1.0)
-            change = max(
-                float(np.abs(y_active - y[idx]).max()),
-                float((s != x[idx]).any()),
-            )
-            x[idx] = s
-            y[idx] = y_active
-        if k == B:
-            yield block(X, Y, keys)
-            X, Y, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [], 0
-        X[k] = x
-        Y[k] = y
-        keys.append(key)
-        k += 1
-        streak = streak + 1 if change <= fixed_point_tol else 0
-        if streak >= window:
-            stop_reason = "fixed_point"
-            break
-    end[:] = x, y, steps, stop_reason, stop_detail
-    yield block(X[:k], Y[:k], keys)
+def _social_stacked(rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``rows @ y`` of each row ``y`` of ``Y`` in one stacked matmul, where ``rows``
+    are the influence rows of one set that every trial revises, or ``(trials, 1, n)``:
+    one player's row per trial."""
+    return np.matmul(rows, Y[:, :, None])[:, :, 0]
 
 
-def _social_stacked(W: np.ndarray, Y: np.ndarray, players: np.ndarray | None) -> np.ndarray:
-    """``W @ y`` of each row ``y`` of ``Y`` with ``players`` None, else ``W[i] @ y``
-    of each row's player ``i`` as a column, in one stacked matmul."""
-    if players is None:
-        return np.matmul(W, Y[:, :, None])[:, :, 0]
-    return np.matmul(W[players][:, None, :], Y[:, :, None])[:, 0]
+def _social_each(rows: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``_social_stacked`` one trial at a time, by the matvec of ``_revise``."""
+    return np.stack([w @ y for w, y in zip(np.broadcast_to(rows, (len(Y), *rows.shape[-2:])), Y)])
 
 
-def _social_each(W: np.ndarray, Y: np.ndarray, players: np.ndarray | None) -> np.ndarray:
-    """``_social_stacked`` one row at a time, by the matvecs of ``_revise``."""
-    rows = [W] * len(Y) if players is None else [W[i : i + 1] for i in players]
-    return np.stack([w @ y for w, y in zip(rows, Y)])
+def _run_trials(X: np.ndarray, Y: np.ndarray, schedules: list, terms: RevisionTerms, W: np.ndarray,
+                max_steps: int, fixed_point_tol: float, end: list, record: ModelParams | None = None):
+    """Trials in lockstep, as a generator: trial t from actions ``X[t]`` and
+    opinions ``Y[t]`` along ``schedules[t]``, all of one kind, with ``terms``
+    whose fields broadcast to ``(trials, n)``. Each trial stops by ``run``'s
+    rules. It checks nothing; ``run``, ``sweep`` and ``load_config`` do.
 
+    Two or more live trials take one stacked matvec per step and the elementwise
+    best response. numpy does not document that this gives the bits of one
+    matvec per trial, so random probe rows check it once, and on a mismatch each
+    trial's social term is taken alone. A lone live trial takes ``_revise``,
+    with its streak and guard in Python scalars. Both give the bits of ``step``.
 
-def _run_batch(X: np.ndarray, Y: np.ndarray, schedules: list, terms: RevisionTerms, W: np.ndarray,
-               max_steps: int, fixed_point_tol: float):
-    """Unrecorded runs in lockstep: trial t from actions ``X[t]`` and opinions ``Y[t]``
-    along ``schedules[t]``, all of one kind, with ``terms`` whose fields broadcast
-    to ``(trials, n)``, so trials may differ in their weights.
-
-    A step revises every live trial's set with one stacked matvec and the
-    elementwise best response of ``_revise``, and each trial stops by ``run``'s
-    rules with the bits, steps, reason and detail of ``_run_blocks``. numpy does
-    not document that a stacked matmul gives the bits of one matvec per trial:
-    random probe rows check it once per batch, and on a mismatch the social
-    terms are taken one trial at a time. Checks nothing. Returns the final int8
-    actions and opinions, and each trial's steps, stop reason and detail.
+    ``record``, the ``ModelParams`` of a single trial, makes it yield the rows in
+    fresh blocks of at most ``_block_rows(n)``: ``(x, y, active, potentials)``,
+    ``(rows, n)`` int8 actions and float64 opinions, each row's active set
+    (``()`` for row 0) and the rows' potentials, or None where undefined.
+    Otherwise it yields nothing. Before its last block it sets ``end`` to every
+    trial's final actions and opinions, and each one's steps, stop reason and detail.
     """
     X, Y = X.astype(np.int8), np.array(Y, dtype=float)
     T, n = Y.shape
     kind, window = schedules[0].kind, schedules[0].stability_window
-    everyone = kind == "synchronous"
     # the deterministic kinds give every trial the same set at the same step
     iters = [schedules[0].sets()] if kind in ("synchronous", "round-robin") else [s.sets() for s in schedules]
-    probe, probe_players = np.random.default_rng(0).random((8, n)), None if everyone else np.arange(8) % n
-    same = np.array_equal(_social_stacked(W, probe, probe_players), _social_each(W, probe, probe_players))
-    social = _social_stacked if same else _social_each
+    social = _social_stacked
+    if T > 1:  # the probe takes the influence rows in the shape the steps do
+        probe, rows = np.random.default_rng(0).random((8, n)), W[np.arange(8) % n][:, None, :]
+        rows = (W if kind == "synchronous" else W[:1]) if len(iters) == 1 else rows
+        if not np.array_equal(_social_stacked(rows, probe), _social_each(rows, probe)):
+            social = _social_each
     blend = () if terms.blend is None else terms.blend
     tt = np.stack([np.broadcast_to(f, (T, n)) for f in (*terms[:5], *blend)])  # (fields, live trials, n)
+
+    def as_terms(t):
+        return RevisionTerms(*t[:5], (t[5], t[6]) if blend else None)
+
+    def prepare(key):
+        # a set's slice, influence rows and terms: of every live trial, or of the
+        # lone one, as Python floats for one player
+        idx, lone = slice(key[0], key[-1] + 1), len(live) == 1
+        t = as_terms(tt[:, 0, idx] if lone else tt[:, :, idx])
+        return idx, W[idx], t.item() if lone and len(key) == 1 else t
+
+    def diverged(player, raw):
+        return step_no - 1, "divergence_guard", f"player {player + 1}: raw opinion {float(raw)!r}"
+
+    if record is not None:
+        potentials = None  # a block's potentials from its rows and active sets, or None
+        if _potential_fault(record) is None:
+            from . import arcsum  # here, so `import coevo` and sweeps never compile it
+
+            potentials = arcsum.recorder(record, W)
+        B = _block_rows(n)
+        bx, by, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [()], 1
+        bx[0], by[0] = X[0], Y[0]
+
     steps, reasons, details = np.full(T, max_steps), ["max_steps"] * T, [""] * T
-    # the live trials' rows: X and Y themselves until the first trial stops
-    live, x, y, streak = np.arange(T), X, Y, np.zeros(T, dtype=np.int64)
+    # the live trials' rows, X and Y themselves until the first trial stops; each
+    # live row that stops at this step -> its steps, stop reason and detail; and
+    # each set's ``prepare`` while the live trials stay the same
+    live, x, y, moved, step_no, ended, prepared = np.arange(T), X, Y, np.zeros(T, dtype=np.int64), 0, {}, {}
     lo, hi = -_DIVERGENCE_BAND, 1.0 + _DIVERGENCE_BAND
-    for step_no in range(1, max_steps + 1):
-        rows = np.arange(len(live))[:, None]
-        if everyone:
-            players, cols, t = None, np.arange(n)[None, :], tt
-        else:  # one shared set, or one per trial
-            players = np.broadcast_to(np.fromiter((next(it)[0] for it in iters), np.intp, len(iters)), len(live))
-            cols = players[:, None]
-            t = tt[:, rows, cols]
-        t = RevisionTerms(*t[:5], (t[5], t[6]) if blend else None)
-        delta, pulled = _revision(social(W, y, players), t)
-        s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
-        y_raw = _opinion(s, pulled, t)
-        x_old, y_old = x[rows, cols], y[rows, cols]
-        stop = np.zeros(len(live), dtype=bool)
-        # NaN fails every comparison, so non-finite updates trip the guard too
-        if not (y_raw.min() >= lo and y_raw.max() <= hi):
-            out = ~((y_raw >= lo) & (y_raw <= hi))
-            stop = out.any(axis=1)
-            for r in np.flatnonzero(stop):
-                j, k = int(np.argmax(out[r])), live[r]
-                player = int(np.broadcast_to(cols, out.shape)[r, j])
-                steps[k], reasons[k] = step_no - 1, "divergence_guard"
-                details[k] = f"player {player + 1}: raw opinion {float(y_raw[r, j])!r}"
-            # a diverging trial ends at the state before this step
-            s[stop], y_raw[stop] = x_old[stop], y_old[stop]
-        # inactive coordinates are untouched, so they contribute exactly 0; a
-        # changed action moves by exactly 1
-        y_new = y_raw.clip(0.0, 1.0)  # keeps -0.0
-        change = np.maximum(np.abs(y_new - y_old).max(axis=1), (s != x_old).any(axis=1))
-        x[rows, cols], y[rows, cols] = s, y_new
-        streak = np.where(change <= fixed_point_tol, streak + 1, 0)
-        fixed = (streak >= window) & ~stop
-        for k in live[fixed]:
-            steps[k], reasons[k] = step_no, "fixed_point"
-        stop |= fixed
-        if stop.any():
+    while len(live) and step_no < max_steps:
+        if len(live) > 1:
+            step_no += 1
+            if len(iters) == 1:  # every trial revises the same set
+                key = next(iters[0])
+                (cols, rows_w, t), rows = prepared.get(key) or prepared.setdefault(key, prepare(key)), slice(None)
+            else:  # one player per trial
+                players = np.array([next(it)[0] for it in iters])
+                rows, cols = np.arange(len(live))[:, None], players[:, None]
+                rows_w, t = W[players][:, None, :], as_terms(tt[:, rows, cols])
+            delta, pulled = _revision(social(rows_w, y), t)
+            s = (delta > DISCRIMINANT_TIE_TOL).astype(np.int8)
+            y_raw = _opinion(s, pulled, t)
+            x_old, y_old = x[rows, cols], y[rows, cols]
+            # NaN fails every comparison, so non-finite updates trip the guard too
+            if not (y_raw.min() >= lo and y_raw.max() <= hi):
+                out = ~((y_raw >= lo) & (y_raw <= hi))
+                bad = out.any(axis=1)
+                for r in np.flatnonzero(bad):
+                    j = int(np.argmax(out[r]))
+                    ended[r] = diverged(key[j] if len(iters) == 1 else int(players[r]), y_raw[r, j])
+                # a diverging trial ends at the state before this step
+                s[bad], y_raw[bad] = x_old[bad], y_old[bad]
+            # inactive coordinates are untouched, so they contribute exactly 0; a
+            # changed action moves by exactly 1
+            y_new = y_raw.clip(0.0, 1.0)  # keeps -0.0
+            change = np.maximum(np.abs(y_new - y_old), s != x_old).max(axis=1)
+            x[rows, cols], y[rows, cols] = s, y_new
+            moved[change > fixed_point_tol] = step_no  # each live trial's last step that moved
+            for r in (moved <= step_no - window).nonzero()[0]:
+                ended.setdefault(r, (step_no, "fixed_point", ""))
+        else:
+            # the lone trial steps in place in its row of X and Y
+            X[live], Y[live] = x, y
+            x, y, it, streak = X[live[0]], Y[live[0]], iters[0], step_no - int(moved[0])
+            for step_no in range(step_no + 1, max_steps + 1):
+                key = next(it)
+                idx, rows_w, t = prepared.get(key) or prepared.setdefault(key, prepare(key))
+                s, y_raw = _revise(y, rows_w, t)
+                one = len(key) == 1
+                if not ((lo <= y_raw <= hi) if one else (y_raw.min() >= lo and y_raw.max() <= hi)):
+                    raw = np.atleast_1d(y_raw)
+                    bad = int(np.argmax(~((raw >= lo) & (raw <= hi))))
+                    ended[0] = diverged(key[bad], raw[bad])
+                    break
+                if one:
+                    i = key[0]
+                    y_new = min(max(y_raw, 0.0), 1.0)  # keeps -0.0, as ndarray.clip does
+                    change = max(abs(y_new - y.item(i)), float(s != x.item(i)))
+                    x[i], y[i] = s, y_new
+                else:
+                    # the array methods skip the module functions' dispatch layers
+                    y_active = y_raw.clip(0.0, 1.0)
+                    change = max(float(np.abs(y_active - y[idx]).max()), float((s != x[idx]).any()))
+                    x[idx], y[idx] = s, y_active
+                if record is not None:
+                    if k == B:
+                        yield bx, by, keys, None if potentials is None else potentials(by, keys)
+                        bx, by, keys, k = np.empty((B, n), np.int8), np.empty((B, n)), [], 0
+                    bx[k], by[k] = x, y
+                    keys.append(key)
+                    k += 1
+                streak = streak + 1 if change <= fixed_point_tol else 0
+                if streak >= window:
+                    ended[0] = (step_no, "fixed_point", "")
+                    break
+            x, y = X[live], Y[live]
+        if ended:
+            stop = np.zeros(len(live), dtype=bool)
+            stop[list(ended)] = True
+            for r, outcome in ended.items():
+                steps[live[r]], reasons[live[r]], details[live[r]] = outcome
             X[live[stop]], Y[live[stop]] = x[stop], y[stop]
-            keep = ~stop
-            live, x, y, tt, streak = live[keep], x[keep], y[keep], tt[:, keep], streak[keep]
+            keep, ended, prepared = ~stop, {}, {}
+            live, x, y, tt, moved = live[keep], x[keep], y[keep], tt[:, keep], moved[keep]
             iters = iters if len(iters) == 1 else [it for it, kept in zip(iters, keep) if kept]
-            if not len(live):
-                break
     X[live], Y[live] = x, y
-    return X, Y, steps, reasons, details
+    end[:] = X, Y, steps, reasons, details
+    if record is not None:
+        yield bx[:k], by[:k], keys, None if potentials is None else potentials(by[:k], keys)
 
 
 def run(
@@ -455,29 +435,27 @@ def run(
 
     A one-player set is revised in Python float arithmetic on one matvec
     entry, and an everyone-set with one matvec and array operations; both go
-    through the same formulas and give the same bits as ``step``.
+    through the same formulas and give the same bits as ``step``. Every
+    player's ``beta + lam`` is checked before the first step.
 
     With ``record`` every state is kept, and the potential of each is logged,
     bit for bit as ``potential`` gives it, by ``arcsum.recorder`` whenever it
-    is defined (all gamma zero, all beta positive). Without it the run is a
-    ``_run_batch`` of one trial, with the same stop and final bits: only the
-    final state is kept and no potential is computed, so memory does not grow
-    with ``max_steps``, and every player's ``beta + lam`` is checked up front.
+    is defined (all gamma zero, all beta positive). Without it only the final
+    state is kept and no potential is computed, so memory does not grow with
+    ``max_steps``; the stop and the final bits are the same.
     """
     _check_sizes(params, net, initial)
     _check_limits(max_steps, fixed_point_tol)
     if schedule.n != params.n:
         raise ValueError(f"schedule is for n={schedule.n}, params for n={params.n}")
-    if not record:
-        X, Y, _, (stop_reason,), (stop_detail,) = _run_batch(
-            initial.x[None], initial.y[None], [schedule], _revision_terms(params), net.W, max_steps, fixed_point_tol)
-        return Trajectory(X, Y, (), None, stop_reason, stop_detail)
     end: list = []
-    blocks = list(_run_blocks(initial.x, initial.y, schedule, params, net, max_steps, fixed_point_tol, end))
-    X, Y, keys, pots = zip(*blocks)
+    blocks = list(_run_trials(initial.x[None], initial.y[None], [schedule], _revision_terms(params), net.W,
+                              max_steps, fixed_point_tol, end, params if record else None))
+    x, y, _, (stop_reason,), (stop_detail,) = end
+    X, Y, keys, pots = zip(*blocks) if record else ((x,), (y,), ((),), (None,))
     potentials = None if pots[0] is None else np.concatenate(pots)
     active_sets = tuple(chain.from_iterable(keys))[1:]
-    return Trajectory(np.concatenate(X), np.concatenate(Y), active_sets, potentials, *end[3:])
+    return Trajectory(np.concatenate(X), np.concatenate(Y), active_sets, potentials, stop_reason, stop_detail)
 
 
 def is_fixed_point(
@@ -573,7 +551,7 @@ def classify_state(state: SystemState, opinion_tol: float = 1e-6) -> StateClass:
 
 def _classify(x: np.ndarray, y: np.ndarray, opinion_tol: float = 1e-6) -> StateClass:
     """``classify_state`` of the actions ``x`` and opinions ``y`` of a valid state,
-    such as the end of ``_run_blocks``, without building the state."""
+    such as a trial's end in ``_run_trials``, without building the state."""
     if (x == 0).all():
         action = "all-defection"
     elif (x == 1).all():

@@ -31,7 +31,7 @@ from .dynamics import (
     StateClass,
     _check_limits,
     _classify,
-    _run_batch,
+    _run_trials,
     classify_state,
     make_schedule,
 )
@@ -389,7 +389,7 @@ def sweep(
     message. Enumeration is skipped (count None) when n exceeds
     ``ENUMERATION_MAX_N``. Each trial draws its start and schedule seed from
     its cell's stream; the trials of every cell then run as one lockstep batch
-    of unrecorded runs (``dynamics._run_batch``), which ends each one with the
+    of unrecorded runs (``dynamics._run_trials``), which ends each one with the
     bits of a run of its own.
     """
     unknown = set(grid) - {"r", "alpha", "beta"}
@@ -453,8 +453,9 @@ def sweep(
         # every trial of every cell in one batch, each with its cell's terms;
         # sweep cells hold no prejudice attachment, so no blend
         terms = RevisionTerms(*(np.repeat(f, trials, axis=0) for f in map(np.stack, zip(*cell_terms))), None)
-        X, Y, *_ = _run_batch(np.array(X), np.array(Y), schedules, terms, net.W, max_steps, fixed_point_tol)
-        labels = [_classify(x, y).full_class for x, y in zip(X, Y)]
+        end: list = []
+        list(_run_trials(np.array(X), np.array(Y), schedules, terms, net.W, max_steps, fixed_point_tol, end))
+        labels = [_classify(x, y).full_class for x, y in zip(*end[:2])]
     for c, cell in enumerate(cells):
         counts = Counter(labels[c * trials : (c + 1) * trials])
         cell["outcome_frequencies"] = {label: count / trials for label, count in sorted(counts.items())}

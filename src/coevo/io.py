@@ -44,9 +44,10 @@ def atomic_write(path: str, text) -> None:
 
 
 def trajectory_chunks(blocks, n: int, format: str):
-    """The text of ``blocks`` of one row or more, as ``dynamics.run``'s loop yields
-    them, in one of the ``TRAJECTORY_FORMATS``: one piece per block, the CSV header
-    in the first. No blocks render as the header line alone, or a lone newline.
+    """The text of ``blocks`` of one row or more, as the run loop
+    (``dynamics._run_trials``) yields a recorded run's, in one of the
+    ``TRAJECTORY_FORMATS``: one piece per block, the CSV header in the first.
+    No blocks render as the header line alone, or a lone newline.
 
     Each row's cells in the CSV columns ``[t, active, x_1..x_n, y_1..y_n,
     potential]`` are one list updated in place; the format's line function
@@ -112,8 +113,8 @@ def _jsonl_line(t, active, pot, cells) -> str:
 
 
 def _blocks(traj: Trajectory):
-    """A trajectory as views of the blocks of rows that ``run``'s loop yields,
-    ``dynamics._block_rows(n)`` rows each, for ``trajectory_chunks``."""
+    """A trajectory as views of the blocks of rows that the run loop yields while
+    it records, ``dynamics._block_rows(n)`` rows each, for ``trajectory_chunks``."""
     rows = dynamics._block_rows(traj.x.shape[1])
     keys, pots = ((), *traj.active_sets), traj.potentials
     for k in range(0, len(traj), rows):

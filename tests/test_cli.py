@@ -348,6 +348,23 @@ class TestSimulate:
         assert overridden == repeat
 
 
+    def test_an_undefined_best_response_is_exit_1_before_any_row(self, tmp_path, capsys):
+        # player 3 weighs only the game; the one step of the budget revises player 1
+        doc = {
+            "params": {"n": 4, "r": 2.0, "alpha": [0.4, 0.4, 1.0, 0.4], "beta": [0.3, 0.3, 0.0, 0.3],
+                       "lam": [0.3, 0.3, 0.0, 0.3]},
+            "network": {"type": "complete"},
+            "schedule": {"kind": "round-robin"},
+            "initial_state": "all-coop-consensus",
+            "run": {"max_steps": 1},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: player 3: beta + lam must be positive")
+
     def test_divergence_summary_names_the_player(self, config_path, capsys, monkeypatch):
         import coevo.dynamics as dynamics_module
 

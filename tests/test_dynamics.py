@@ -22,7 +22,7 @@ from coevo.dynamics import (
     potential_matrix,
     potential_matrix_is_positive_definite,
     potential_quadratic,
-    _run_batch,
+    _run_trials,
     run,
     step,
 )
@@ -405,6 +405,23 @@ class TestRun:
         )
         with pytest.raises(ValueError, match=r"^player 3: beta \+ lam must be positive"):
             run(SystemState.all_cooperation(4), make_schedule(kind, 4, seed=1), params, complete4)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_an_undefined_best_response_is_refused_before_the_first_step(self, complete4, record):
+        # one round-robin step revises only player 1, yet player 3's beta + lam = 0
+        # is refused up front, recorded or not
+        params = ModelParams(
+            n=4,
+            r=2.0,
+            alpha=np.array([0.4, 0.4, 1.0, 0.4]),
+            beta=np.array([0.3, 0.3, 0.0, 0.3]),
+            lam=np.array([0.3, 0.3, 0.0, 0.3]),
+            gamma=np.zeros(4),
+            prejudice=np.full(4, 0.5),
+        )
+        with pytest.raises(ValueError, match=r"^player 3: beta \+ lam must be positive"):
+            run(SystemState.all_cooperation(4), make_schedule("round-robin", 4), params, complete4,
+                max_steps=1, record=record)
 
     def test_stop_detail_empty_unless_diverged(self, params_r2, complete4):
         for max_steps in (3, 1000):
@@ -1033,60 +1050,84 @@ def _poison_opinions(rate):
     return mock.patch.object(dynamics_module, "_opinion", poisoned)
 
 
+def _batch_end(starts, schedules, param_list, net, max_steps):
+    """The end of one unrecorded lockstep run of ``starts``: final actions and
+    opinions, and each trial's steps, stop reason and detail."""
+    end: list = []
+    assert list(_run_trials(np.stack([s.x for s in starts]), np.stack([s.y for s in starts]), schedules,
+                            _stacked_terms(param_list), net.W, max_steps, 1e-10, end)) == []
+    return end
+
+
 def _check_batch_against_serial(rng, kind, net, param_list, starts, max_steps):
+    """Each trial's stop reason, once the batch ended every trial as a run of its
+    own does, and whether the batch's last live trial took the lone kernel."""
     n = net.n
     schedules = [make_schedule(kind, n, seed=int(rng.integers(2**32))) for _ in starts]
-    X, Y, steps, reasons, details = _run_batch(
-        np.stack([s.x for s in starts]), np.stack([s.y for s in starts]), schedules,
-        _stacked_terms(param_list), net.W, max_steps, 1e-10,
-    )
+    with mock.patch.object(dynamics_module, "_revise", wraps=dynamics_module._revise) as lone:
+        X, Y, steps, reasons, details = _batch_end(starts, schedules, param_list, net, max_steps)
     ends = []
     for t, (initial, schedule, params) in enumerate(zip(starts, schedules, param_list)):
         want = _serial_end(initial, schedule, params, net, max_steps)
         assert (X[t].tolist(), _bits(Y[t]).tolist(), int(steps[t]), reasons[t], details[t]) == want
-        # a batch of one through the public door, which carries any prejudice blend
+        # a lone unrecorded run through the public door, which carries any prejudice blend
         lean = run(initial, schedule, params, net, max_steps=max_steps, record=False)
         assert (lean.x[0].tolist(), _bits(lean.y[0]).tolist(), lean.stop_reason, lean.stop_detail) == (
             want[0], want[1], want[3], want[4])
         ends.append(want[3])
-    return ends
+    return ends, lone.called
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(SCHEDULE_KINDS),
-    st.sampled_from(("dense", "ring", "random")),
-    st.sampled_from(("interior", "prejudiced", "tied", "edge")),
-    st.integers(1, 6),
-    st.integers(1, 120),
-    st.sampled_from((None, 0.01, 0.05)),
-)
-def test_lockstep_batch_matches_serial_runs(seed, kind, shape, weights, trials, max_steps, poison):
+def test_lockstep_batch_matches_serial_runs():
     # oracle for the lockstep core: every trial of one batch ends where the
     # recorded serial loop ends it, with the same actions, opinion bits, steps,
     # stop reason and detail. Trials differ in start, schedule seed and
     # weights, as a sweep's cells do; "tied" and "edge" put all-cooperation's
     # discriminant on the tie band, and a poisoned opinion formula forces the
-    # divergence guard in the trials whose opinions pass the threshold.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 8)) if shape == "dense" else int(rng.integers(3, 20))
-    net = random_row_stochastic(rng, n) if shape == "dense" else _sparse_network(rng, shape, n)
-    pool = []
-    for _ in range(2):
-        if weights == "tied":
-            params = tied_params(rng, n)
-        elif weights == "edge":
-            params = edge_params(rng, n)[int(rng.integers(9))]
-        else:
-            params = random_interior_params(rng, n)
-        if weights == "prejudiced":
-            params = dataclasses.replace(params, gamma=rng.uniform(0.05, 0.9, n), prejudice=rng.random(n))
-        pool.append(params)
-    param_list = [pool[int(rng.integers(2))] for _ in range(trials)]
-    starts = [SystemState.all_cooperation(n) if rng.random() < 0.3 else random_state(rng, n) for _ in range(trials)]
-    with nullcontext() if poison is None else _poison_opinions(poison):
-        _check_batch_against_serial(rng, kind, net, param_list, starts, max_steps)
+    # divergence guard in the trials whose opinions pass the threshold. An
+    # all-defection start is a fixed point of the weights without prejudice
+    # (r < n), so it stops after one window while other trials run on, some to
+    # the budget: the batch shrinks to one live trial, which takes the lone
+    # kernel for the rest of the run.
+    switched = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(SCHEDULE_KINDS),
+        st.sampled_from(("dense", "ring", "random")),
+        st.sampled_from(("interior", "prejudiced", "tied", "edge")),
+        st.integers(1, 6),
+        st.integers(1, 120),
+        st.sampled_from((None, 0.01, 0.05)),
+    )
+    def check(seed, kind, shape, weights, trials, max_steps, poison):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8)) if shape == "dense" else int(rng.integers(3, 20))
+        net = random_row_stochastic(rng, n) if shape == "dense" else _sparse_network(rng, shape, n)
+        pool = []
+        for _ in range(2):
+            if weights == "tied":
+                params = tied_params(rng, n)
+            elif weights == "edge":
+                params = edge_params(rng, n)[int(rng.integers(9))]
+            else:
+                params = random_interior_params(rng, n)
+            if weights == "prejudiced":
+                params = dataclasses.replace(params, gamma=rng.uniform(0.05, 0.9, n), prejudice=rng.random(n))
+            pool.append(params)
+        param_list = [pool[int(rng.integers(2))] for _ in range(trials)]
+        makers = (SystemState.all_cooperation, SystemState.all_defection, lambda n: random_state(rng, n))
+        starts = [makers[rng.choice(3, p=[0.2, 0.5, 0.3])](n) for _ in range(trials)]
+        with nullcontext() if poison is None else _poison_opinions(poison):
+            _, lone = _check_batch_against_serial(rng, kind, net, param_list, starts, max_steps)
+        if trials > 1:
+            switched.append(lone)
+
+    check()
+    # the stacked kernel handed over to the lone one in a tenth of the batches or
+    # more (a quarter to a third of them in runs of this strategy)
+    assert sum(switched) >= len(switched) / 10, (sum(switched), len(switched))
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
@@ -1097,7 +1138,7 @@ def test_lockstep_divergence_stops_some_trials_and_not_others(kind):
     param_list = [random_interior_params(rng, n) for _ in range(12)]
     starts = [random_state(rng, n) for _ in range(12)]
     with _poison_opinions(0.02):
-        ends = _check_batch_against_serial(rng, kind, net, param_list, starts, 60)
+        ends, _ = _check_batch_against_serial(rng, kind, net, param_list, starts, 60)
     assert "divergence_guard" in ends
     assert {"fixed_point", "max_steps"} & set(ends)
 
@@ -1125,13 +1166,32 @@ def test_a_stacked_matvec_off_by_one_bit_falls_back_to_per_trial_matvecs(kind, m
     net = random_row_stochastic(rng, n)
     param_list = [random_interior_params(rng, n) for _ in range(4)]
     starts = [random_state(rng, n) for _ in range(4)]
-    X, Y, steps, reasons, details = _run_batch(
-        np.stack([s.x for s in starts]), np.stack([s.y for s in starts]),
-        [make_schedule(kind, n, seed=t) for t in range(4)], _stacked_terms(param_list), net.W, 40, 1e-10,
-    )
-    # the probe is the one stacked call, and every step took the per-trial path
+    X, Y, steps, reasons, details = _batch_end(
+        starts, [make_schedule(kind, n, seed=t) for t in range(4)], param_list, net, 40)
+    # the probe is the one stacked call, and every step of two or more live
+    # trials took the per-trial path, until the second-last trial stopped
     assert calls["stacked"] == 1
-    assert calls["each"] == 1 + int(steps.max())
+    assert calls["each"] == 1 + int(np.sort(steps)[-2])
     for t in range(4):
         want = _serial_end(starts[t], make_schedule(kind, n, seed=t), param_list[t], net, 40)
         assert (X[t].tolist(), _bits(Y[t]).tolist(), int(steps[t]), reasons[t], details[t]) == want
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_a_lone_unrecorded_run_takes_the_float_step_and_runs_no_probe(kind):
+    # a run of one trial never takes the stacked kernel, so it runs no probe
+    # of the stacked matvec: each of its steps is one _revise, as recorded
+    rng = np.random.default_rng(7)
+    n = 6
+    net, params, initial = random_row_stochastic(rng, n), random_interior_params(rng, n), random_state(rng, n)
+    schedule = make_schedule(kind, n, seed=3)
+    recorded = run(initial, schedule, params, net, max_steps=60)
+    with (
+        mock.patch.object(dynamics_module, "_social_stacked") as stacked,
+        mock.patch.object(dynamics_module, "_social_each") as each,
+        mock.patch.object(dynamics_module, "_revise", wraps=dynamics_module._revise) as lone,
+    ):
+        lean = run(initial, schedule, params, net, max_steps=60, record=False)
+    assert not stacked.called and not each.called
+    assert lone.call_count == len(recorded) - 1
+    np.testing.assert_array_equal(_bits(lean.y[0]), _bits(recorded.y[-1]))

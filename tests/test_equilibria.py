@@ -479,8 +479,8 @@ class TestSweep:
 
     def test_one_sweep_runs_every_trial_as_one_batch(self, monkeypatch):
         batches = []
-        real = equilibria_module._run_batch
-        monkeypatch.setattr(equilibria_module, "_run_batch", lambda *a: batches.append(len(a[0])) or real(*a))
+        real = equilibria_module._run_trials
+        monkeypatch.setattr(equilibria_module, "_run_trials", lambda *a: batches.append(len(a[0])) or real(*a))
         grid = {"r": [1.5, 2.0, 3.5], "alpha": [0.4, 0.55], "beta": [0.3, 0.45]}
         table = sweep(grid, ring_network(5), "shuffled-rounds", trials=4, seed=2, max_steps=80)
         # alpha 0.55 with beta 0.45 leaves no consistency weight: three cells skipped
