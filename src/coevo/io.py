@@ -11,7 +11,7 @@ import dataclasses
 import json
 import os
 import tempfile
-from itertools import compress
+from itertools import compress, islice
 from operator import ne
 
 import numpy as np
@@ -43,49 +43,65 @@ def atomic_write(path: str, text) -> None:
         raise
 
 
+#: Cells per cached join of a row's text in ``trajectory_chunks``.
+_GROUP = 16
+
+
 def trajectory_chunks(blocks, n: int, format: str):
     """The text of ``blocks`` of one row or more, as the run loop
     (``dynamics._run_trials``) yields a recorded run's, in one of the
     ``TRAJECTORY_FORMATS``: one piece per block, the CSV header in the first.
     No blocks render as the header line alone, or a lone newline.
 
-    Each row's cells in the CSV columns ``[t, active, x_1..x_n, y_1..y_n,
-    potential]`` are one list updated in place; the format's line function
-    fills t, active and potential. Only the actions and opinions whose bits
-    changed since the row before, in this block or the one before, are
-    re-formatted; bits tell -0.0 from 0.0. One ``np.nonzero`` per kind of cell
-    finds a block's changes, and ``searchsorted`` locates each row's share.
+    A row's actions and its opinions are its two halves, each cut into groups
+    of ``_GROUP`` cells. The text of each cell, each group and each half is kept
+    from the row before: only cells whose bits changed (so -0.0 is not 0.0) are
+    re-formatted, each group they touch is re-joined once per row, then its half.
+    One ``np.flatnonzero`` finds a block's changes, one ``map`` formats its
+    potentials, and a set's active ids are formatted once.
     """
-    opinion_text, line, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
+    text, (sep, id_sep, no_potential), line, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
     # the header waits for the first row, so a run that fails at once writes nothing
     header = ",".join(["t", "active", *(f"{v}_{i}" for v in "xy" for i in range(1, n + 1)), "potential"])
     lines = [header] if format == "csv" else []
-    cells, t = None, 0
+    # the 2n cells' groups, the actions' first; halves[h] joins the groups of half h
+    groups = [slice(s, min(s + _GROUP, end)) for end in (n, 2 * n) for s in range(end - n, end, _GROUP)]
+    half = len(groups) // 2
+    parts, id_texts, cells, t = (slice(0, half), slice(half, None)), {}, None, 0
     for X, Y, keys, pots in blocks:
         rows = len(X)
         y_bits = np.ascontiguousarray(Y).view(np.int64)
         if cells is None:
-            cells = ["", "", *map(str, X[0].tolist()), *map(opinion_text, Y[0].tolist()), ""]
+            cells = [*map(text, X[0].tolist() + Y[0].tolist())]
+            joins = [sep.join(cells[g]) for g in groups]
+            halves = [sep.join(joins[p]) for p in parts]
             before = X[:1], y_bits[:1]  # row 0 is compared with itself
-        # per kind of cell: the column and value of every changed cell in row
-        # order, and where each row's changes start
-        changes = []
-        for values, bits, last, text, first_column in (
-            (X, X, before[0], str, 2),
-            (Y, y_bits, before[1], opinion_text, 2 + n),
-        ):
-            row, player = np.nonzero(bits != np.concatenate((last, bits[:-1])))
-            changes.append((
-                (player + first_column).tolist(),
-                values[row, player].tolist(),
-                text,
-                np.searchsorted(row, np.arange(rows + 1)).tolist(),
-            ))
-        for r in range(rows):
-            for cols, vals, text, starts in changes:
-                for k in range(starts[r], starts[r + 1]):
-                    cells[cols[k]] = text(vals[k])
-            lines.append(line(t, keys[r], None if pots is None else pots[r], cells))
+        # every changed cell in row order, actions first: its row, its column of
+        # the 2n, its half and player, and its new value
+        changed = np.hstack([v != np.concatenate((b, v[:-1])) for v, b in zip((X, y_bits), before)])
+        row, col = np.divmod(np.flatnonzero(changed), 2 * n)
+        side, player = np.divmod(col, n)
+        values, on_x = np.empty(len(col), dtype=object), side == 0
+        values[on_x] = X[row[on_x], player[on_x]].tolist()
+        values[~on_x] = Y[row[~on_x], player[~on_x]].tolist()
+        # the last change of a row in a group re-joins that group, and the last
+        # in a half re-joins that half; -1 where a later change of the row will
+        group = player // _GROUP + side * half
+        last = np.append(row[1:] != row[:-1], True)
+        regroup, rehalf = (np.where(last | np.append(v[1:] != v[:-1], True), v, -1).tolist() for v in (group, side))
+        id_texts.update((k, id_sep.join([str(i + 1) for i in k])) for k in set(keys).difference(id_texts))
+        pot_texts = [no_potential] * rows if pots is None else [*map(text, pots.tolist())]
+        changes = zip(col.tolist(), values.tolist(), regroup, rehalf)
+        counts = np.bincount(row, minlength=rows).tolist()
+        for active, pot, count in zip(map(id_texts.__getitem__, keys), pot_texts, counts):
+            # formatted here, not ahead for the block: that was slower where every cell changes
+            for c, v, g, h in islice(changes, count):
+                cells[c] = text(v)
+                if g >= 0:
+                    joins[g] = sep.join(cells[groups[g]])
+                    if h >= 0:
+                        halves[h] = sep.join(joins[parts[h]])
+            lines.append(line(t, active, pot, *halves))
             t += 1
         before = X[-1:], y_bits[-1:]
         # an empty last line ends the text with a newline without a second copy
@@ -96,20 +112,13 @@ def trajectory_chunks(blocks, n: int, format: str):
         yield header + "\n" if format == "csv" else "\n"
 
 
-def _csv_line(t, active, pot, cells) -> str:
-    cells[0] = str(t)
-    cells[1] = ";".join(str(i + 1) for i in active)
-    if pot is not None:
-        cells[-1] = format_real(pot)
-    return ",".join(cells)
+def _csv_line(t, active, pot, x_text, y_text) -> str:
+    # without players both halves are empty and have no columns
+    return f"{t},{active},{x_text},{y_text},{pot}" if y_text else f"{t},{active},{pot}"
 
 
-def _jsonl_line(t, active, pot, cells) -> str:
-    n = (len(cells) - 3) // 2
-    active = ", ".join(str(i + 1) for i in active)
-    pot = "null" if pot is None else json.dumps(float(pot))
-    x, y = ", ".join(cells[2 : 2 + n]), ", ".join(cells[2 + n : -1])
-    return f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x}], "y": [{y}]}}'
+def _jsonl_line(t, active, pot, x_text, y_text) -> str:
+    return f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x_text}], "y": [{y_text}]}}'
 
 
 def _blocks(traj: Trajectory):
@@ -265,8 +274,11 @@ def _jsonl_rows(path: str, lines):
                 raise TypeError("x and y must be lists")
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{where}: not a trajectory row ({type(exc).__name__}: {exc})") from None
-        _read_players(x, x, range(len(x)), _json_integer, where, "action")
-        _read_players(y, y, range(len(y)), _json_number, where, "opinion")
+        # one type scan per list; else cell by cell, to convert an int opinion or name a player
+        if not {int}.issuperset(map(type, x)):
+            _read_players(x, x, range(len(x)), _json_integer, where, "action")
+        if not {float}.issuperset(map(type, y)):
+            _read_players(y, y, range(len(y)), _json_number, where, "opinion")
         t = _read(_json_integer, t, where, "time index")
         active, pot = obj.get("active"), obj.get("potential")
         # row 0 follows no revision, so its active ids may be left out
@@ -295,14 +307,16 @@ def _json_number(value) -> float:
     return float(value)
 
 
-#: Trajectory file format name -> (opinion text, line, rows). ``line(t, active,
-#: potential, cells)`` is one row's text for ``trajectory_chunks``. ``rows(path, lines)``
+#: Trajectory file format name -> (cell text, (cell separator, id separator,
+#: missing potential), line, rows). The cell text prints an action (an int), an
+#: opinion or a potential. ``line(t, active, potential, x_text, y_text)``
+#: is one row's text for ``trajectory_chunks``. ``rows(path, lines)``
 #: reads numbered non-blank lines and yields the header's player count (None
 #: without a header), then ``(lineno, t, active, x, y, potential or None)`` with
 #: ``t`` an int, ``active`` a tuple of 0-based ids and the potential a float.
 TRAJECTORY_FORMATS = {
-    "csv": (format_real, _csv_line, _csv_rows),
-    "json-lines": (json.dumps, _jsonl_line, _jsonl_rows),
+    "csv": (format_real, (",", ";", ""), _csv_line, _csv_rows),
+    "json-lines": (json.dumps, (", ", ", ", "null"), _jsonl_line, _jsonl_rows),
 }
 
 

@@ -28,6 +28,7 @@ from coevo.io import (
     render_json,
     render_trajectory_csv,
     render_trajectory_jsonl,
+    trajectory_chunks,
     write_json,
 )
 from coevo.model import SystemState, best_response
@@ -513,6 +514,76 @@ def test_jsonl_renders_as_json_dumps_per_row(traj, data):
         stop_reason="max_steps",
     )
     assert render_trajectory_jsonl(traj) == _jsonl_by_row(traj)
+
+
+@st.composite
+def block_streams(draw, n):
+    """Trajectories of n players whose steps each change no cell, one cell,
+    every cell or some cells, or flip one opinion between 0.0 and -0.0, and
+    now and then no rows at all."""
+    n = draw(n)
+    player, opinion = st.integers(0, n - 1), st.sampled_from(AWKWARD_OPINIONS) | st.floats(0.0, 1.0)
+    steps = draw(st.lists(st.sampled_from(["none", "one", "all", "some", "signed-zero"]), max_size=24))
+    steps = steps if draw(st.integers(0, 9)) else None
+    rows = 0 if steps is None else len(steps) + 1
+    x, y = np.zeros((rows, n), dtype=np.int8), np.zeros((rows, n))
+    if rows:
+        x[0] = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        y[0] = draw(st.lists(opinion, min_size=n, max_size=n))
+    for t, step in enumerate(steps or [], start=1):
+        x[t], y[t] = x[t - 1], y[t - 1]
+        if step == "one":
+            i = draw(player)
+            if draw(st.booleans()):
+                x[t, i] = 1 - x[t, i]
+            else:
+                y[t, i] = draw(opinion)
+        elif step == "all":
+            x[t], y[t] = 1 - x[t], (y[t] + 0.5) % 1.0
+        elif step == "some":
+            for i in draw(st.sets(player, min_size=1)):
+                x[t, i], y[t, i] = draw(st.integers(0, 1)), draw(opinion)
+        elif step == "signed-zero":
+            i = draw(player)
+            y[t, i] = 0.0 if math.copysign(1.0, y[t, i]) < 0 else -0.0
+    active = st.lists(player, min_size=1, max_size=3, unique=True).map(sorted).map(tuple)
+    return Trajectory(
+        x=x,
+        y=y,
+        active_sets=tuple(draw(active) for _ in range(rows - 1)),
+        potentials=draw(st.none() | st.lists(st.floats(), min_size=rows, max_size=rows)),
+        stop_reason="max_steps",
+    )
+
+
+def _check_chunks_against_full_rendering(traj: Trajectory) -> None:
+    # trajectory_chunks fed directly, in blocks of 1, 2 and 7 rows and the
+    # default size, against every cell of every row formatted afresh
+    n, keys, pots = traj.x.shape[1], ((), *traj.active_sets), traj.potentials
+    for fmt, expected in (("csv", reference_csv(traj)), ("json-lines", _jsonl_by_row(traj))):
+        for rows in (1, 2, 7, dynamics_module._block_rows(n)):
+            blocks = [
+                (traj.x[b], traj.y[b], keys[b], None if pots is None else pots[b])
+                for b in (slice(k, k + rows) for k in range(0, len(traj), rows))
+            ]
+            chunks = list(trajectory_chunks(iter(blocks), n, fmt))
+            # one piece per block, or one for an empty stream
+            assert len(chunks) == max(len(blocks), 1)
+            assert "".join(chunks) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(traj=block_streams(st.integers(2, 40) | st.sampled_from([15, 16, 17, 32, 33])))
+def test_trajectory_chunks_match_full_reformatting(traj):
+    # the cached group joins in both formats, with n on both sides of the
+    # 16-cell group edges
+    _check_chunks_against_full_rendering(traj)
+
+
+@settings(max_examples=5, deadline=None)
+@given(traj=block_streams(st.just(192)))
+def test_trajectory_chunks_match_full_reformatting_at_n_192(traj):
+    _check_chunks_against_full_rendering(traj)
 
 
 @settings(max_examples=200, deadline=None)
