@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .dynamics import _classify, _run_trials
+from .dynamics import _full_class, _run_trials
 from .equilibria import (
     ENUMERATION_MAX_N,
     _condition_reports,
@@ -127,11 +127,10 @@ def _cmd_simulate(args, cfg) -> int:
     _emit(trajectory_chunks(blocks, cfg.params.n, args.format), args.out)
     (x,), (y,), (steps,), (stop_reason,), (stop_detail,) = end
     if not args.quiet:
-        cls = _classify(x, y)
         detail = f" ({stop_detail})" if stop_detail else ""
         print(
             f"stopped after {steps} steps: {stop_reason}{detail}; "
-            f"final class: {cls.full_class}",
+            f"final class: {_full_class(x, y).item()}",
             file=sys.stderr,
         )
     return 0

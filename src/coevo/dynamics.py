@@ -31,6 +31,7 @@ from .model import (
     _revision,
     _revision_terms,
     _stationarity,
+    _trusted,
 )
 
 #: Schedule kind -> its coverage window for n players (None: no guarantee).
@@ -455,7 +456,9 @@ def run(
     X, Y, keys, pots = zip(*blocks) if record else ((x,), (y,), ((),), (None,))
     potentials = None if pots[0] is None else np.concatenate(pots)
     active_sets = tuple(chain.from_iterable(keys))[1:]
-    return Trajectory(np.concatenate(X), np.concatenate(Y), active_sets, potentials, stop_reason, stop_detail)
+    # the core's own rows, which the constructor's checks cannot fault
+    return _trusted(Trajectory, x=np.concatenate(X), y=np.concatenate(Y), active_sets=active_sets,
+                    potentials=potentials, stop_reason=stop_reason, stop_detail=stop_detail)
 
 
 def is_fixed_point(
@@ -546,23 +549,16 @@ class StateClass:
 
 def classify_state(state: SystemState, opinion_tol: float = 1e-6) -> StateClass:
     """Label the consensus structure of a state."""
-    return _classify(state.x, state.y, opinion_tol)
+    x, y = state.x, state.y
+    action = "all-defection" if (x == 0).all() else "all-cooperation" if (x == 1).all() else "none"
+    opinion = float(y.mean()) if float(y.max() - y.min()) <= opinion_tol else None
+    return StateClass(action, opinion, "none" if action == "none" else _full_class(x, y, opinion_tol).item())
 
 
-def _classify(x: np.ndarray, y: np.ndarray, opinion_tol: float = 1e-6) -> StateClass:
-    """``classify_state`` of the actions ``x`` and opinions ``y`` of a valid state,
-    such as a trial's end in ``_run_trials``, without building the state."""
-    if (x == 0).all():
-        action = "all-defection"
-    elif (x == 1).all():
-        action = "all-cooperation"
-    else:
-        action = "none"
-    spread = float(y.max() - y.min())
-    opinion = float(y.mean()) if spread <= opinion_tol else None
-    full = "none"
-    if action == "all-defection" and float(np.abs(y).max()) <= opinion_tol:
-        full = "all-defection-consensus"
-    elif action == "all-cooperation" and float(np.abs(y - 1.0).max()) <= opinion_tol:
-        full = "all-cooperation-consensus"
-    return StateClass(action_consensus=action, opinion_consensus=opinion, full_class=full)
+def _full_class(x: np.ndarray, y: np.ndarray, opinion_tol: float = 1e-6) -> np.ndarray:
+    """``StateClass.full_class`` of each state of ``(..., n)`` actions and opinions, as
+    a str array: all-defection with every opinion within ``opinion_tol`` of 0, or
+    all-cooperation with every one within it of 1, and "none" otherwise."""
+    defect = (x == 0).all(axis=-1) & (np.abs(y).max(axis=-1) <= opinion_tol)
+    cooperate = (x == 1).all(axis=-1) & (np.abs(y - 1.0).max(axis=-1) <= opinion_tol)
+    return np.where(defect, "all-defection-consensus", np.where(cooperate, "all-cooperation-consensus", "none"))

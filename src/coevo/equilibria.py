@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import (
     StateClass,
     _check_limits,
-    _classify,
+    _full_class,
     _run_trials,
     classify_state,
     make_schedule,
@@ -42,13 +42,16 @@ from .model import (
     RevisionTerms,
     SystemState,
     _check_sizes,
+    _check_state,
     _check_vector,
+    _frozen_array,
     _interior_fault,
     _is_int,
     _regime_fault,
     _revision,
     _revision_terms,
     _stationarity,
+    _trusted,
     best_response,
 )
 
@@ -248,52 +251,81 @@ class EquilibriumReport:
     solver_residuals: float
 
 
-def _candidate_profiles(params: ModelParams, net: Network, M, psi) -> np.ndarray:
-    """Profiles that branch and bound cannot rule out, as a (k, n) bool array.
+def _shrink(lo, hi, owner, WK, terms):
+    """One branch-and-bound step on intervals ``[lo, hi]``, ``(k, n)`` bool arrays, each of
+    problem ``owner[i]`` with social map ``WK[owner[i]]`` and terms ``owner[i]``: a player
+    whose discriminant at ``lo`` clears the tie band by ``_PRUNE_MARGIN`` joins ``lo``, and
+    one whose discriminant at ``hi`` falls that far below it leaves ``hi``."""
+    band = DISCRIMINANT_TIE_TOL + _PRUNE_MARGIN
+    if len(WK) == 1:  # one map for every interval: one product, nothing gathered
+        social = (np.concatenate([lo, hi]) @ WK[0].T).reshape(2, *lo.shape)
+    else:
+        social = np.matmul(WK[owner], np.stack([lo, hi], axis=2)).transpose(2, 0, 1)
+        terms = terms._replace(base=terms.base[owner], coupling=terms.coupling[owner])
+    delta = _revision(social, terms)[0]
+    return lo | (delta[0] > band), hi & (delta[1] >= -band)
+
+
+def _candidate_profiles(net: Network, problems) -> list[np.ndarray]:
+    """Profiles that branch and bound cannot rule out, a ``(k, n)`` bool array for each
+    ``ModelParams`` of ``problems`` on ``net``.
 
     With ``y = K x`` and ``K = M^-1 diag(psi) >= 0``, each discriminant is
     non-decreasing in ``x`` through the social term ``W K x``: the game has
     strategic complements (Echenique 2007). So on an interval ``[L, U]`` a player
     whose discriminant at ``L`` clears the tie band cooperates in every
-    equilibrium and one whose discriminant at ``U`` falls below it defects. All
-    intervals of a depth shrink by that rule as one batch until stable; empty
-    ones drop and the rest split on their first free player.
+    equilibrium and one whose discriminant at ``U`` falls below it defects. Each
+    pass takes one ``_shrink`` of every live interval of every problem, with no
+    barrier between depths: one that turned empty is dropped, and one that did not
+    move is kept as a leaf if it has no free player and otherwise split on its first.
     """
-    WK = net.W @ np.linalg.solve(M, np.diag(psi))
-    band = DISCRIMINANT_TIE_TOL + _PRUNE_MARGIN
-    terms = _revision_terms(params)
-    lo, hi = np.zeros((1, params.n), dtype=bool), np.ones((1, params.n), dtype=bool)
-    leaves = []
+    M, psi, _ = map(np.stack, zip(*(_opinion_system(p, net) for p in problems)))
+    WK = net.W @ np.linalg.solve(M, psi[:, :, None] * np.eye(net.n))
+    P, terms = len(problems), _stacked_terms(problems)
+    lo, hi, owner, leaves = np.zeros((P, net.n), dtype=bool), np.ones((P, net.n), dtype=bool), np.arange(P), []
     while len(lo):
-        while True:
-            delta = _revision(np.concatenate([lo, hi]) @ WK.T, terms)[0]
-            new_lo, new_hi = lo | (delta[: len(lo)] > band), hi & (delta[len(lo) :] >= -band)
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                break
-            lo, hi = new_lo, new_hi
-        live = ~(lo & ~hi).any(axis=1)
-        lo, hi = lo[live], hi[live]
-        free = hi & ~lo
+        new_lo, new_hi = _shrink(lo, hi, owner, WK, terms)
+        settled = ~((new_lo != lo) | (new_hi != hi)).any(axis=1)
+        lo, hi, free = new_lo, new_hi, new_hi & ~new_lo
+        live = ~(lo & ~hi).any(axis=1)  # an empty interval stays empty, so it goes at once
         split = free.any(axis=1)
-        leaves.append(lo[~split])
-        lo, hi, free = lo[split], hi[split], free[split]
-        first = free & (free.cumsum(axis=1) == 1)
-        lo, hi = np.concatenate([lo | first, lo]), np.concatenate([hi, hi & ~first])
-    return np.concatenate(leaves)
+        go, leaf, branch = live & ~settled, live & settled & ~split, live & settled & split
+        leaves.append((owner[leaf], lo[leaf]))
+        first = free[branch] & (free[branch].cumsum(axis=1) == 1)
+        lo = np.concatenate([lo[go], lo[branch] | first, lo[branch]])
+        hi = np.concatenate([hi[go], hi[branch], hi[branch] & ~first])
+        owner = np.concatenate([owner[go], owner[branch], owner[branch]])
+    owners, leaves = map(np.concatenate, zip(*leaves))
+    return np.split(leaves[np.argsort(owners)], np.cumsum(np.bincount(owners, minlength=P))[:-1])
 
 
-def enumerate_equilibria(
-    params: ModelParams,
-    net: Network,
-    max_n: int = ENUMERATION_MAX_N,
-) -> EquilibriumReport:
+def _stacked_terms(problems) -> RevisionTerms:
+    """The ``RevisionTerms`` of zero-prejudice ``problems``, each field ``(len(problems), n)``."""
+    return RevisionTerms(*map(np.stack, zip(*(_revision_terms(p)[:5] for p in problems))), None)
+
+
+def _solve_profiles(X, net: Network, params: ModelParams):
+    """The profiles ``X`` as floats in code order (bit k is player k's action), their
+    stationary opinions from one batched solve, and per profile whether the dynamics
+    keep it, whether it is Nash and its residual. With two or more columns numpy takes
+    the matrix path, whose bits match a solve of all 2^n profiles at once; a lone
+    candidate is all-defection, exactly 0 on the vector path as well."""
+    M, psi, _ = _opinion_system(params, net)
+    X = X[np.lexsort(X.T)].astype(float)
+    Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
+    stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
+    return X, Y, stable.all(axis=1), nash.all(axis=1), gap.max(axis=1)
+
+
+def enumerate_equilibria(params: ModelParams, net: Network, max_n: int = ENUMERATION_MAX_N) -> EquilibriumReport:
     """Enumerate all equilibria over the 2^n action profiles by branch and bound.
 
-    For each profile ``_candidate_profiles`` keeps, the stationary opinions are
-    solved exactly; the profile is accepted when every action agrees with its
-    discriminant sign there (cooperation needs a strictly positive
-    discriminant, ties defect). Profiles consistent only under the looser
-    Nash tie rule are reported separately as boundary equilibria.
+    ``_candidate_profiles`` runs on this one problem, with no barrier between depths.
+    For each profile it keeps, the stationary opinions are solved exactly; the
+    profile is accepted when every action agrees with its discriminant sign there
+    (cooperation needs a strictly positive discriminant, ties defect), and the
+    accepted states are checked once, as one array. Profiles consistent only under
+    the looser Nash tie rule are reported separately as boundary equilibria.
     """
     _require_solvable(params)
     if params.n > max_n:
@@ -302,41 +334,22 @@ def enumerate_equilibria(
             f"raise max_n above {max_n} to allow it"
         )
     _check_sizes(params, net)
-    M, psi, _ = _opinion_system(params, net)
-    X = _candidate_profiles(params, net, M, psi)
-    # one batched solve in code order (bit k is player k's action): with two or more
-    # columns numpy takes the matrix path, whose bits match a solve of all 2^n profiles
-    # at once; a lone candidate is all-defection, exactly 0 on the vector path as well
-    X = X[np.lexsort(X.T)].astype(float)
-    Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
-
-    stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
-    dyn_ok = stable.all(axis=1)
-    nash_ok = nash.all(axis=1)
-    residual = gap.max(axis=1)
+    (X,) = _candidate_profiles(net, [params])
+    X, Y, dyn_ok, nash_ok, residual = _solve_profiles(X, net, params)
+    X, Y = _frozen_array(X, np.int64), _frozen_array(Y.clip(0.0, 1.0))
+    _check_state(X[nash_ok], Y[nash_ok])  # every accepted profile: nash_ok holds where dyn_ok does
 
     def build(mask: np.ndarray) -> tuple[Equilibrium, ...]:
-        found = []
-        for k in np.flatnonzero(mask):
-            state = SystemState(X[k].astype(np.int64), np.clip(Y[k], 0.0, 1.0))
-            found.append(
-                Equilibrium(
-                    state=state,
-                    state_class=classify_state(state),
-                    residual=float(residual[k]),
-                )
-            )
-        found.sort(key=lambda e: (int(e.state.x.sum()), tuple(e.state.x)))
-        return tuple(found)
+        rows = np.flatnonzero(mask)
+        # by cooperator count, then by profile with player 0 first
+        rows = rows[np.lexsort((*X[rows, ::-1].T, X[rows].sum(axis=1)))]
+        states = [_trusted(SystemState, x=X[k], y=Y[k]) for k in rows]
+        return tuple(Equilibrium(s, classify_state(s), float(residual[k])) for s, k in zip(states, rows))
 
     equilibria = build(dyn_ok)
-    boundary = build(nash_ok & ~dyn_ok)
-    return EquilibriumReport(
-        equilibria=equilibria,
-        boundary_equilibria=boundary,
-        action_profiles_scanned=1 << params.n,
-        solver_residuals=float(max((e.residual for e in equilibria), default=0.0)),
-    )
+    return EquilibriumReport(equilibria=equilibria, boundary_equilibria=build(nash_ok & ~dyn_ok),
+                             action_profiles_scanned=1 << params.n,
+                             solver_residuals=float(max((e.residual for e in equilibria), default=0.0)))
 
 
 @dataclass(frozen=True)
@@ -370,15 +383,8 @@ class SweepTable:
     trials_per_cell: int
 
 
-def sweep(
-    grid: dict,
-    net: Network,
-    schedule_kind: str = "round-robin",
-    trials: int = 20,
-    seed: int = 0,
-    max_steps: int = 100_000,
-    fixed_point_tol: float = 1e-10,
-) -> SweepTable:
+def sweep(grid: dict, net: Network, schedule_kind: str = "round-robin", trials: int = 20, seed: int = 0,
+          max_steps: int = 100_000, fixed_point_tol: float = 1e-10) -> SweepTable:
     """Run condition checks, enumeration, and random-start simulations per cell.
 
     ``grid`` maps axis names to value lists; axes are ``r``, ``alpha``,
@@ -387,10 +393,12 @@ def sweep(
     that violate the model's invariants or lie outside the conditions' strict
     interior are skipped and reported in ``invalid_cells`` with the refusal's
     message. Enumeration is skipped (count None) when n exceeds
-    ``ENUMERATION_MAX_N``. Each trial draws its start and schedule seed from
-    its cell's stream; the trials of every cell then run as one lockstep batch
-    of unrecorded runs (``dynamics._run_trials``), which ends each one with the
-    bits of a run of its own.
+    ``ENUMERATION_MAX_N``; otherwise every valid cell is one problem of a single
+    ``_candidate_profiles`` pass, with no barrier between depths or cells, and a
+    cell's counts come from the masks of its own exact solve. Each trial draws
+    its start and schedule seed from its cell's stream; the trials of every cell
+    then run as one lockstep batch of unrecorded runs (``dynamics._run_trials``),
+    which ends each one with the bits of a run of its own.
     """
     unknown = set(grid) - {"r", "alpha", "beta"}
     if unknown:
@@ -417,52 +425,40 @@ def sweep(
             stacklevel=2,
         )
     cell_specs = list(itertools.product(*([float(v) for v in grid[axis]] for axis in ("r", "alpha", "beta"))))
-    master = np.random.SeedSequence(seed)
-    cell_seqs = master.spawn(len(cell_specs))
+    cell_seqs = np.random.SeedSequence(seed).spawn(len(cell_specs))
 
     cells: list[dict] = []  # each valid cell's fields, its outcomes to come
     invalid: list[tuple[dict, str]] = []
-    X, Y, schedules, cell_terms = [], [], [], []
+    X, Y, schedules, valid = [], [], [], []  # valid: each valid cell's params
     for (r, a, b), seq in zip(cell_specs, cell_seqs):
-        spec_dict = {"r": r, "alpha": a, "beta": b}
         lam = 1.0 - a - b
         try:
             params = ModelParams.uniform(n, r, a, b, lam)
             cond_defect, cond_coop = _condition_reports(params)
         except ValueError as exc:
-            invalid.append((spec_dict, str(exc)))
+            invalid.append(({"r": r, "alpha": a, "beta": b}, str(exc)))
             continue
-        if n <= ENUMERATION_MAX_N:
-            report = enumerate_equilibria(params, net)
-            eq_count: int | None = len(report.equilibria)
-            boundary_count: int | None = len(report.boundary_equilibria)
-        else:
-            eq_count = None
-            boundary_count = None
         for trial_seq in seq.spawn(trials):
             rng = np.random.default_rng(trial_seq)
             X.append(rng.integers(0, 2, size=n))
             Y.append(rng.random(n))
             schedules.append(make_schedule(schedule_kind, n, seed=int(rng.integers(2**63 - 1))))
-        cell_terms.append(_revision_terms(params)[:5])
+        valid.append(params)
         cells.append(dict(r=r, alpha=a, beta=b, lam=lam, all_defection_unique=cond_defect.all_hold,
-                          all_cooperation_exists=cond_coop.all_hold, equilibrium_count=eq_count,
-                          boundary_count=boundary_count, trials=trials))
-    labels: list[str] = []
+                          all_cooperation_exists=cond_coop.all_hold, equilibrium_count=None,
+                          boundary_count=None, trials=trials))
+    candidates = _candidate_profiles(net, valid) if cells and n <= ENUMERATION_MAX_N else ()
+    for cell, X_c, params in zip(cells, candidates, valid):  # counts from the cell's own exact solve
+        _, _, dyn_ok, nash_ok, _ = _solve_profiles(X_c, net, params)
+        cell.update(equilibrium_count=int(dyn_ok.sum()), boundary_count=int((nash_ok & ~dyn_ok).sum()))
     if cells:
-        # every trial of every cell in one batch, each with its cell's terms;
-        # sweep cells hold no prejudice attachment, so no blend
-        terms = RevisionTerms(*(np.repeat(f, trials, axis=0) for f in map(np.stack, zip(*cell_terms))), None)
+        # every trial of every cell in one batch, each with its cell's terms
+        terms = RevisionTerms(*(np.repeat(f, trials, axis=0) for f in _stacked_terms(valid)[:5]), None)
         end: list = []
         list(_run_trials(np.array(X), np.array(Y), schedules, terms, net.W, max_steps, fixed_point_tol, end))
-        labels = [_classify(x, y).full_class for x, y in zip(*end[:2])]
-    for c, cell in enumerate(cells):
-        counts = Counter(labels[c * trials : (c + 1) * trials])
-        cell["outcome_frequencies"] = {label: count / trials for label, count in sorted(counts.items())}
-    return SweepTable(
-        cells=tuple(SweepCell(**cell) for cell in cells),
-        invalid_cells=tuple(invalid),
-        schedule_kind=schedule_kind,
-        seed=seed,
-        trials_per_cell=trials,
-    )
+        labels = _full_class(*end[:2]).tolist()
+        for c, cell in enumerate(cells):
+            counts = Counter(labels[c * trials : (c + 1) * trials])
+            cell["outcome_frequencies"] = {label: count / trials for label, count in sorted(counts.items())}
+    return SweepTable(cells=tuple(SweepCell(**cell) for cell in cells), invalid_cells=tuple(invalid),
+                      schedule_kind=schedule_kind, seed=seed, trials_per_cell=trials)

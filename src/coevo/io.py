@@ -60,7 +60,7 @@ def trajectory_chunks(blocks, n: int, format: str):
     One ``np.flatnonzero`` finds a block's changes, one ``map`` formats its
     potentials, and a set's active ids are formatted once.
     """
-    text, (sep, id_sep, no_potential), line, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
+    text, pot_text, (sep, id_sep, no_potential), line, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
     # the header waits for the first row, so a run that fails at once writes nothing
     header = ",".join(["t", "active", *(f"{v}_{i}" for v in "xy" for i in range(1, n + 1)), "potential"])
     lines = [header] if format == "csv" else []
@@ -90,7 +90,7 @@ def trajectory_chunks(blocks, n: int, format: str):
         last = np.append(row[1:] != row[:-1], True)
         regroup, rehalf = (np.where(last | np.append(v[1:] != v[:-1], True), v, -1).tolist() for v in (group, side))
         id_texts.update((k, id_sep.join([str(i + 1) for i in k])) for k in set(keys).difference(id_texts))
-        pot_texts = [no_potential] * rows if pots is None else [*map(text, pots.tolist())]
+        pot_texts = [no_potential] * rows if pots is None else [*map(pot_text, pots.tolist())]
         changes = zip(col.tolist(), values.tolist(), regroup, rehalf)
         counts = np.bincount(row, minlength=rows).tolist()
         for active, pot, count in zip(map(id_texts.__getitem__, keys), pot_texts, counts):
@@ -140,9 +140,10 @@ def render_trajectory_csv(traj: Trajectory) -> str:
 
 def render_trajectory_jsonl(traj: Trajectory) -> str:
     """One JSON object per recorded state, same fields as the CSV columns, as
-    ``json.dumps(row, sort_keys=True)`` prints it: every cell is printed by
-    ``json.dumps``, so NaN, Infinity and -0.0 read the same. An empty
-    trajectory renders as a lone newline."""
+    ``json.dumps(row, sort_keys=True)`` prints it: actions and opinions, ints and
+    finite floats, by ``repr``, which is ``json.dumps``'s text for them (-0.0
+    too), and potentials by ``json.dumps``, so NaN and Infinity read the same.
+    An empty trajectory renders as a lone newline."""
     return "".join(trajectory_chunks(_blocks(traj), traj.x.shape[1], "json-lines"))
 
 
@@ -307,16 +308,16 @@ def _json_number(value) -> float:
     return float(value)
 
 
-#: Trajectory file format name -> (cell text, (cell separator, id separator,
-#: missing potential), line, rows). The cell text prints an action (an int), an
-#: opinion or a potential. ``line(t, active, potential, x_text, y_text)``
+#: Trajectory file format name -> (cell text, potential text, (cell separator,
+#: id separator, missing potential), line, rows). The cell text prints an action
+#: (an int) or an opinion (a finite float). ``line(t, active, potential, x_text, y_text)``
 #: is one row's text for ``trajectory_chunks``. ``rows(path, lines)``
 #: reads numbered non-blank lines and yields the header's player count (None
 #: without a header), then ``(lineno, t, active, x, y, potential or None)`` with
 #: ``t`` an int, ``active`` a tuple of 0-based ids and the potential a float.
 TRAJECTORY_FORMATS = {
-    "csv": (format_real, (",", ";", ""), _csv_line, _csv_rows),
-    "json-lines": (json.dumps, (", ", ", ", "null"), _jsonl_line, _jsonl_rows),
+    "csv": (format_real, format_real, (",", ";", ""), _csv_line, _csv_rows),
+    "json-lines": (repr, json.dumps, (", ", ", ", "null"), _jsonl_line, _jsonl_rows),
 }
 
 

@@ -245,6 +245,14 @@ def _check_state(x, y) -> None:
         raise ValueError(fault[1] if len(fault[0]) == 1 else f"row {fault[0][0]}: {fault[1]}")
 
 
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, past ``__post_init__``'s checks and casts:
+    for the engine's own output, which its maker checked in bulk or cannot be wrong."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class SystemState:
     """Joint state: action vector x in {0,1}^n and opinion vector y in [0,1]^n."""

@@ -227,6 +227,26 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("kind", ["round-robin", "synchronous"])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_run_is_not_checked_again_and_holds_what_the_constructor_makes(
+        self, params_r2, complete4, monkeypatch, kind, record
+    ):
+        built = []
+        post_init = Trajectory.__post_init__
+        monkeypatch.setattr(Trajectory, "__post_init__", lambda traj: built.append(traj) or post_init(traj))
+        start = SystemState(np.array([1, 0, 1, 1]), np.array([0.9, -0.0, 0.4, 1.0]))
+        traj = run(start, make_schedule(kind, 4), params_r2, complete4, max_steps=40, record=record)
+        assert built == []
+        checked = Trajectory(traj.x, traj.y, traj.active_sets, traj.potentials, traj.stop_reason, traj.stop_detail)
+        assert (traj.active_sets, traj.stop_reason, traj.stop_detail) == (
+            checked.active_sets, checked.stop_reason, checked.stop_detail
+        )
+        assert (traj.potentials is None) == (checked.potentials is None) == (not record)
+        for name in ("x", "y") + (("potentials",) if record else ()):
+            got, want = getattr(traj, name), getattr(checked, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_stationary_start_stops_after_one_window(self, params_r2, complete4):
         sched = make_schedule("round-robin", 4)
         traj = run(SystemState.all_defection(4), sched, params_r2, complete4)
@@ -662,6 +682,48 @@ class TestClassifyState:
         state = SystemState(np.zeros(2, dtype=np.int64), np.array([0.0, 5e-7]))
         assert classify_state(state, opinion_tol=1e-6).full_class == "all-defection-consensus"
         assert classify_state(state, opinion_tol=1e-8).full_class == "none"
+
+
+def _full_class_of_row(x, y, opinion_tol):
+    """The full-class rule one state at a time, in Python scalars: the reference
+    for the labels ``_full_class`` gives a whole ``(..., n)`` array at once."""
+    if all(v == 0 for v in x) and max(abs(v) for v in y) <= opinion_tol:
+        return "all-defection-consensus"
+    if all(v == 1 for v in x) and max(abs(v - 1.0) for v in y) <= opinion_tol:
+        return "all-cooperation-consensus"
+    return "none"
+
+
+@st.composite
+def labelled_ends(draw):
+    """``(rows, n)`` actions and opinions of valid states, each row near one of the
+    consensus classes: actions all 0 or all 1 with opinions on that side at 0 (or
+    -0.0), 1, exactly ``opinion_tol`` away, or one float step further, now and
+    then anywhere in [0, 1], or with one action flipped; and the tolerance."""
+    tol = draw(st.sampled_from([1e-6, 1e-8, 0.25]))
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(2, 9))
+    near = {0: [0.0, -0.0, tol, float(np.nextafter(tol, 1.0))],
+            1: [1.0, 1.0 - tol, float(np.nextafter(1.0 - tol, 0.0))]}
+    x, y = np.zeros((rows, n), dtype=np.int8), np.zeros((rows, n))
+    for t in range(rows):
+        side = draw(st.sampled_from([0, 1]))
+        x[t] = side
+        if draw(st.booleans()):
+            x[t, draw(st.integers(0, n - 1))] = 1 - side
+        y[t] = draw(st.lists(st.sampled_from(near[side]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return x, y, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_ends())
+def test_full_class_of_many_ends_matches_one_state_at_a_time(ends):
+    x, y, tol = ends
+    labels = dynamics_module._full_class(x, y, tol)
+    assert labels.shape == (len(x),)
+    for t in range(len(x)):
+        want = _full_class_of_row(x[t].tolist(), y[t].tolist(), tol)
+        assert labels[t] == want
+        assert classify_state(SystemState(x[t], y[t]), opinion_tol=tol).full_class == want
 
 
 class TestTrajectoryType:

@@ -683,6 +683,13 @@ def test_enumeration_matches_per_profile_scan(seed, kind):
 SCAN_KINDS = ("sparse", "tied", "edge")
 
 
+def _scan_network(rng, n):
+    """An asymmetric random network with zero entries and self-loops."""
+    W = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+    W[np.arange(n), (np.arange(n) + 1) % n] += W.sum(axis=1) == 0.0
+    return Network.from_matrix(W, normalise=True)
+
+
 def _scan_instances(seed, kind):
     """Instances with n <= 10 for the dense-scan oracle.
 
@@ -696,9 +703,7 @@ def _scan_instances(seed, kind):
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 11))
-    W = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
-    W[np.arange(n), (np.arange(n) + 1) % n] += W.sum(axis=1) == 0.0
-    net = Network.from_matrix(W, normalise=True)
+    net = _scan_network(rng, n)
     if kind == "sparse":
         alpha = rng.uniform(0.0, 0.8, n) * (rng.random(n) < 0.9)
         beta = (1.0 - alpha) * rng.uniform(0.0, 0.95, n) * (rng.random(n) < 0.8)
@@ -734,6 +739,81 @@ def test_enumeration_matches_dense_scan_bit_for_bit(seed, kind):
                 assert eq.state_class == ref.state_class
         assert report.action_profiles_scanned == expected.action_profiles_scanned
         assert report.solver_residuals == expected.solver_residuals
+
+
+def test_accepted_states_are_checked_once_as_one_array(monkeypatch):
+    # an 8-ring with 10 equilibria of several sizes: each state is built
+    # unchecked after one check of them all
+    params, net = ModelParams.uniform(8, 6.8, 0.15, 0.45), ring_network(8)
+    checks, built = [], []
+    real = equilibria_module._check_state
+    monkeypatch.setattr(equilibria_module, "_check_state", lambda *a: checks.append(a) or real(*a))
+    post_init = SystemState.__post_init__
+    monkeypatch.setattr(SystemState, "__post_init__", lambda state: built.append(state) or post_init(state))
+    report = enumerate_equilibria(params, net)
+    monkeypatch.undo()
+    found = report.equilibria + report.boundary_equilibria
+    assert len(report.equilibria) == 10 and built == []
+    ((X, Y),) = checks
+    assert (X.shape, Y.shape) == ((len(found), 8), (len(found), 8))
+    assert {tuple(x) for x in X.tolist()} == {tuple(eq.state.x.tolist()) for eq in found}
+    for eq in found:
+        assert eq.state == SystemState(eq.state.x, eq.state.y)
+        assert (eq.state.x.dtype, eq.state.y.dtype) == (np.int64, np.float64)
+        assert not (eq.state.x.flags.writeable or eq.state.y.flags.writeable)
+
+
+def _stacked_problem(rng, n):
+    """Weights and r for one problem of a stacked pass: strict-interior weights with
+    r anywhere, in the cooperation regime, on the tie, or at the tie band's edge."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return random_interior_params(rng, n)
+    if kind == 1:
+        return cooperation_regime_params(rng, n)
+    if kind == 2:
+        return tied_params(rng, n)
+    return edge_params(rng, n)[int(rng.integers(9))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_stacked_pass_gives_each_problem_the_leaves_of_its_own_pass(seed, count):
+    # a stacked pass gathers each interval's social map and terms, where a lone
+    # problem takes one product for all its intervals
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    net = _scan_network(rng, n)
+    problems = [_stacked_problem(rng, n) for _ in range(count)]
+    stacked = equilibria_module._candidate_profiles(net, problems)
+    assert len(stacked) == count
+    for leaves, params in zip(stacked, problems):
+        (alone,) = equilibria_module._candidate_profiles(net, [params])
+        assert leaves.dtype == alone.dtype == bool and leaves.shape[1] == n
+        assert sorted(map(tuple, leaves.tolist())) == sorted(map(tuple, alone.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sweep_counts_match_enumeration_cell_by_cell(seed):
+    # every valid cell is one problem of one stacked pass; a cell with lam = 0 is
+    # skipped and enumerates nothing
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    net = _scan_network(rng, n)
+    grid = {
+        "r": sorted({float(v) for v in rng.uniform(1.0 + 1e-6, n, int(rng.integers(1, 4)))}),
+        "alpha": [float(rng.uniform(0.05, 0.45)), 0.5],
+        "beta": [float(rng.uniform(0.05, 0.4)), 0.5],
+    }
+    table = sweep(grid, net, "synchronous", trials=1, seed=0, max_steps=20)
+    assert len(table.invalid_cells) == len(grid["r"])  # alpha = beta = 0.5 leaves lam = 0
+    assert len(table.cells) == 3 * len(grid["r"])
+    for cell in table.cells:
+        report = enumerate_equilibria(ModelParams.uniform(n, cell.r, cell.alpha, cell.beta, cell.lam), net)
+        assert (cell.equilibrium_count, cell.boundary_count) == (
+            len(report.equilibria), len(report.boundary_equilibria)
+        )
 
 
 def test_ring_enumeration_beyond_the_default_limit():
