@@ -9,6 +9,7 @@ configs and seeds produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -38,6 +39,7 @@ from .io import (
 from .model import _revision_terms, _state_fault, best_response
 
 
+@functools.cache  # built on the first call, not at import, then kept: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coevo",

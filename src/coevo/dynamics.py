@@ -555,6 +555,14 @@ def classify_state(state: SystemState, opinion_tol: float = 1e-6) -> StateClass:
     return StateClass(action, opinion, "none" if action == "none" else _full_class(x, y, opinion_tol).item())
 
 
+def _state_classes(X: np.ndarray, Y: np.ndarray, opinion_tol: float = 1e-6) -> list[StateClass]:
+    """``classify_state`` of each row of ``(k, n)`` actions and opinions, at once."""
+    action = np.where((X == 0).all(axis=1), "all-defection", np.where((X == 1).all(axis=1), "all-cooperation", "none"))
+    agree = (Y.max(axis=1) - Y.min(axis=1) <= opinion_tol).tolist()
+    opinion = [m if ok else None for m, ok in zip(Y.mean(axis=1).tolist(), agree)]
+    return [*map(StateClass, action.tolist(), opinion, _full_class(X, Y, opinion_tol).tolist())]
+
+
 def _full_class(x: np.ndarray, y: np.ndarray, opinion_tol: float = 1e-6) -> np.ndarray:
     """``StateClass.full_class`` of each state of ``(..., n)`` actions and opinions, as
     a str array: all-defection with every opinion within ``opinion_tol`` of 0, or

@@ -32,7 +32,7 @@ from .dynamics import (
     _check_limits,
     _full_class,
     _run_trials,
-    classify_state,
+    _state_classes,
     make_schedule,
 )
 from .model import (
@@ -343,8 +343,8 @@ def enumerate_equilibria(params: ModelParams, net: Network, max_n: int = ENUMERA
         rows = np.flatnonzero(mask)
         # by cooperator count, then by profile with player 0 first
         rows = rows[np.lexsort((*X[rows, ::-1].T, X[rows].sum(axis=1)))]
-        states = [_trusted(SystemState, x=X[k], y=Y[k]) for k in rows]
-        return tuple(Equilibrium(s, classify_state(s), float(residual[k])) for s, k in zip(states, rows))
+        return tuple(Equilibrium(_trusted(SystemState, x=X[k], y=Y[k]), label, gap) for k, label, gap in
+                     zip(rows, _state_classes(X[rows], Y[rows]), residual[rows].tolist()))
 
     equilibria = build(dyn_ok)
     return EquilibriumReport(equilibria=equilibria, boundary_equilibria=build(nash_ok & ~dyn_ok),

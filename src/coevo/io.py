@@ -7,11 +7,11 @@ leaves a partial file. Player indices are 1-based in every external format.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
 from itertools import compress, islice
+from math import isfinite
 from operator import ne
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import Trajectory
 from .equilibria import ConditionReport, EquilibriumReport, SweepTable
-from .model import BestResponseSet, SystemState, _state_fault
+from .model import BestResponseSet, _state_fault
 
 
 def format_real(v: float) -> str:
@@ -327,11 +327,30 @@ def write_json(obj, path: str) -> None:
 
 
 def render_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON of ``obj`` and a newline: the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``."""
+    return _json_text(obj, "\n") + "\n"
 
 
-def state_to_jsonable(state: SystemState) -> dict:
-    return {"x": state.x.tolist(), "y": state.y.tolist()}
+def _json_text(v, nl: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, each newline as ``nl`` (``v``'s indent);
+    a list of exact ints or of exact finite floats is one join, and ``json`` writes what is not handled here."""
+    t = type(v)
+    if t is str:
+        return json.encoder.encode_basestring_ascii(v)
+    if t is int or t is float and isfinite(v):
+        return t.__repr__(v)
+    inner = nl + "  "
+    if t is list or t is tuple:
+        kinds = set(map(type, v))
+        if kinds == {int} or kinds == {float} and all(map(isfinite, v)):
+            items = map(kinds.pop().__repr__, v)
+        else:
+            items = [_json_text(e, inner) for e in v]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]" if v else "[]"
+    if t is dict and {str}.issuperset(map(type, v)):
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v[k], inner)}" for k in sorted(v)]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}" if v else "{}"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def condition_report_to_jsonable(report: ConditionReport) -> dict:
@@ -347,7 +366,8 @@ def condition_report_to_jsonable(report: ConditionReport) -> dict:
 
 def equilibrium_report_to_jsonable(report: EquilibriumReport) -> dict:
     def entry(e):
-        return {**state_to_jsonable(e.state), "class": dataclasses.asdict(e.state_class), "residual": e.residual}
+        return {"x": e.state.x.tolist(), "y": e.state.y.tolist(), "class": dict(vars(e.state_class)),
+                "residual": e.residual}
 
     return {
         "equilibria": [entry(e) for e in report.equilibria],
@@ -371,7 +391,7 @@ def sweep_table_to_jsonable(table: SweepTable) -> dict:
         "schedule_kind": table.schedule_kind,
         "seed": table.seed,
         "trials_per_cell": table.trials_per_cell,
-        "cells": [dataclasses.asdict(c) for c in table.cells],
+        "cells": [{**vars(c), "outcome_frequencies": dict(c.outcome_frequencies)} for c in table.cells],
         "invalid_cells": [
             {"cell": spec, "reason": reason} for spec, reason in table.invalid_cells
         ],

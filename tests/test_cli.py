@@ -659,3 +659,37 @@ class TestEntryPoint:
         assert len(matches) == 1
         assert matches[0].value == "coevo.cli:main"
         assert matches[0].load() is coevo.cli.main
+
+
+def test_one_parser_serves_every_call_and_keeps_nothing_between_them(tmp_path, capsys):
+    """``cli_main`` reuses one parser: a later call writes what it writes in a fresh
+    process, whatever options, errors and flags the calls before it had."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import coevo.cli
+
+    doc = {
+        "params": {"n": 6, "r": 2.5, "alpha": 0.3, "beta": 0.4},
+        "network": {"type": "ring"},
+        "schedule": {"kind": "shuffled-rounds", "seed": 5},
+        "initial_state": {"preset": "random", "seed": 2},
+        "run": {"max_steps": 200},
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(path), "--format", "json-lines", "--seed", "3"]) == 0
+    assert cli_main(["simulate", str(path), "--format", "xml"]) == 1
+    assert cli_main(["--version"]) == 0
+    capsys.readouterr()
+    assert cli_main(["simulate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert coevo.cli._build_parser() is coevo.cli._build_parser()
+    # the fresh process also shows that importing the package builds no parser
+    code = "import coevo, coevo.cli as c; assert c._build_parser.cache_info().currsize == 0; c.main()"
+    src = str(Path(coevo.dynamics.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-c", code, "simulate", str(path)], capture_output=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert out.startswith("t,active,x_1,")
+    assert out.encode("utf-8") == fresh.stdout

@@ -726,6 +726,41 @@ def test_full_class_of_many_ends_matches_one_state_at_a_time(ends):
         assert classify_state(SystemState(x[t], y[t]), opinion_tol=tol).full_class == want
 
 
+@st.composite
+def classified_rows(draw):
+    """``(rows, n)`` actions and opinions of valid states and a tolerance. A row's
+    actions are all 0, all 1 or all but one alike. Its opinions sit at a centre m
+    (0, 1, 0.5 or anywhere), at -0.0 when m is 0, and a step from m toward the
+    middle of exactly ``tol``, of one float more or of less, so a row's spread
+    lies at the tolerance, just past it or inside it."""
+    tol = draw(st.sampled_from([1e-6, 1e-8, 0.25]))
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(2, 20))
+    x, y = np.zeros((rows, n), dtype=np.int64), np.zeros((rows, n))
+    for t in range(rows):
+        x[t] = draw(st.sampled_from([0, 1]))
+        if draw(st.booleans()):
+            x[t, draw(st.integers(0, n - 1))] ^= 1
+        m = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+        s = 1.0 if m <= 0.5 else -1.0
+        steps = [tol, float(np.nextafter(tol, 1.0)), draw(st.floats(0.0, tol))]
+        pool = [m, -0.0 if m == 0.0 else m, *(m + s * d for d in steps)]
+        y[t] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return x, y, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(classified_rows())
+def test_state_classes_of_many_rows_match_classify_state(rows):
+    x, y, tol = rows
+    labels = dynamics_module._state_classes(x, y, tol)
+    assert len(labels) == len(x)
+    for t, label in enumerate(labels):
+        want = classify_state(SystemState(x[t], y[t]), opinion_tol=tol)
+        assert label == want
+        # == takes -0.0 for 0.0; the text shows every bit of the mean
+        assert repr(label.opinion_consensus) == repr(want.opinion_consensus)
+
+
 class TestTrajectoryType:
     def test_mismatched_active_sets_rejected(self):
         z = np.zeros((2, 2))

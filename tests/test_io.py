@@ -653,6 +653,45 @@ class TestJsonRendering:
         assert parsed["equilibria"][0]["class"]["full_class"] == "all-defection-consensus"
 
 
+#: Floats at the edges of ``repr``'s text: signed zero, subnormals, where the
+#: exponent form starts on either side (1e16, 1e-5), the largest double and the
+#: values JSON has no number for.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-5, 0.0001,
+               1.7976931348623157e308, math.nan, math.inf, -math.inf]
+_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS[:-3])
+_ints = st.integers() | st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+_json_leaves = (
+    st.none() | st.booleans() | _ints | _floats | _floats.map(np.float64) | st.text()
+    | st.lists(_ints) | st.lists(_finite) | st.lists(_ints | _finite | _finite.map(np.float64))
+    | st.lists(_ints | st.booleans())
+)
+#: Documents of every shape ``render_json`` writes: str keys of any characters
+#: (non-ASCII, quotes, controls), empty and nested dicts, lists and tuples.
+json_documents = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(json_documents)
+def test_render_json_writes_the_bytes_of_json_dumps(doc):
+    assert render_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [np.int64(1), [1, np.int64(2)], {"a": [{"b": np.int64(3)}]}, {"c": {1, 2}}])
+def test_render_json_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        render_json(doc)
+    assert str(got.value) == str(want.value)
+
+
 #: Small simulate configs, one per schedule kind, plus one with prejudice
 #: attachment (gamma > 0), where the potential column is empty.
 GOLDEN_CONFIGS = {
@@ -851,3 +890,45 @@ def test_sweep_output_matches_recorded_digest(tmp_path, capsys):
     assert cli_main(["sweep", str(config), "--quiet"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SWEEP_DIGEST
+
+
+#: Small report configs: a ring and a 3x3 grid with ten equilibria each, some
+#: of them without action consensus, and a random network whose players differ.
+GOLDEN_REPORT_CONFIGS = {
+    "ring": {"params": {"n": 8, "r": 7.0, "alpha": 0.15, "beta": 0.45}, "network": {"type": "ring"}},
+    "grid": {
+        "params": {"n": 9, "r": 7.75, "alpha": 0.15, "beta": 0.45},
+        "network": {"type": "grid", "rows": 3, "cols": 3},
+    },
+    "random": {
+        "params": {"n": 5, "r": 3.1, "alpha": [0.1, 0.3, 0.2, 0.05, 0.4], "beta": [0.6, 0.3, 0.5, 0.7, 0.2]},
+        "network": {"type": "random", "edge_probability": 0.5, "seed": 7},
+    },
+}
+
+#: Report call name -> (subcommand, config name, options); each writes its
+#: report with ``--out``.
+GOLDEN_REPORT_CALLS = {
+    "enumerate-ring": ("enumerate", "ring", ()),
+    "enumerate-grid": ("enumerate", "grid", ()),
+    "check-conditions": ("check-conditions", "random", ()),
+    "best-response": ("best-response", "random", ("--player", "2", "--opinions", "0.9,0.1,0.35,-0.0,1")),
+}
+
+#: SHA-256 of each report file, recorded from the program that rendered every
+#: report with ``json.dumps(obj, sort_keys=True, indent=2)``.
+GOLDEN_REPORT_DIGESTS = {
+    "best-response": "c1a9cc37e2ba697639a73cc139a186615d8b84bc1190719ebdac92af2467b65e",
+    "check-conditions": "58dcc2f819dd80491dce4385dc24184e5bb8a3e1dc98c5b1f5f73bc5fe1265b2",
+    "enumerate-grid": "f0b649d76c054a70705e311fd76044fc71751de69941d90c95cd9f2208a74ae5",
+    "enumerate-ring": "830ea4ad518b4131bf5c9c43e79601a78b9ff4283cccbff93fca9943edf4c1b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_CALLS))
+def test_report_outputs_match_recorded_digests(name, tmp_path):
+    command, config_name, options = GOLDEN_REPORT_CALLS[name]
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(GOLDEN_REPORT_CONFIGS[config_name]))
+    assert cli_main([command, str(config), "--quiet", "--out", str(out), *options]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_DIGESTS[name]
