@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: simulate, enumerate, check-conditions, best-response, sweep,
-validate. Exit codes: 0 success, 1 configuration or usage error or a closed
-stdout, 2 internal runtime fault. All file outputs are atomic; identical
-configs and seeds produce byte-identical files.
+validate. Exit codes: 0 success, 1 configuration or usage error (an ``--out``
+that cannot be written among them) or a closed stdout, 2 internal runtime
+fault. All file outputs are atomic; identical configs and seeds produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .io import (
     render_json,
     sweep_table_to_jsonable,
     trajectory_chunks,
-    write_json,
 )
 from .model import _revision_terms, _state_fault, best_response
 
@@ -106,8 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text, out: str | None) -> None:
     if out is None:
         sys.stdout.writelines([text] if isinstance(text, str) else text)
-    else:
+        return
+    try:
         atomic_write(out, text)
+    except OSError as exc:  # a missing directory, a directory: name the user's path, not the temporary file's
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_validate(args, cfg) -> int:
@@ -160,16 +163,11 @@ def _format_condition_line(report) -> str:
 
 def _cmd_check_conditions(args, cfg) -> int:
     defection, cooperation = _condition_reports(cfg.params)
+    if args.out is not None:
+        _emit(render_json({"all_defection_unique": condition_report_to_jsonable(defection),
+                           "all_cooperation_exists": condition_report_to_jsonable(cooperation)}), args.out)
     print(_format_condition_line(defection))
     print(_format_condition_line(cooperation))
-    if args.out is not None:
-        write_json(
-            {
-                "all_defection_unique": condition_report_to_jsonable(defection),
-                "all_cooperation_exists": condition_report_to_jsonable(cooperation),
-            },
-            args.out,
-        )
     return 0
 
 

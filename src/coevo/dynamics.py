@@ -548,15 +548,13 @@ class StateClass:
 
 
 def classify_state(state: SystemState, opinion_tol: float = 1e-6) -> StateClass:
-    """Label the consensus structure of a state."""
-    x, y = state.x, state.y
-    action = "all-defection" if (x == 0).all() else "all-cooperation" if (x == 1).all() else "none"
-    opinion = float(y.mean()) if float(y.max() - y.min()) <= opinion_tol else None
-    return StateClass(action, opinion, "none" if action == "none" else _full_class(x, y, opinion_tol).item())
+    """Label the consensus structure of a state: ``_state_classes`` of its one row."""
+    return _state_classes(state.x[None], state.y[None], opinion_tol)[0]
 
 
 def _state_classes(X: np.ndarray, Y: np.ndarray, opinion_tol: float = 1e-6) -> list[StateClass]:
-    """``classify_state`` of each row of ``(k, n)`` actions and opinions, at once."""
+    """The ``StateClass`` of each row of ``(k, n)`` actions and opinions, at once: the
+    one labelling rule, which ``classify_state`` applies to a single state."""
     action = np.where((X == 0).all(axis=1), "all-defection", np.where((X == 1).all(axis=1), "all-cooperation", "none"))
     agree = (Y.max(axis=1) - Y.min(axis=1) <= opinion_tol).tolist()
     opinion = [m if ok else None for m, ok in zip(Y.mean(axis=1).tolist(), agree)]

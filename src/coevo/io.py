@@ -54,27 +54,26 @@ def trajectory_chunks(blocks, n: int, format: str):
     No blocks render as the header line alone, or a lone newline.
 
     A row's actions and its opinions are its two halves, each cut into groups
-    of ``_GROUP`` cells. The text of each cell, each group and each half is kept
-    from the row before: only cells whose bits changed (so -0.0 is not 0.0) are
-    re-formatted, each group they touch is re-joined once per row, then its half.
-    One ``np.flatnonzero`` finds a block's changes, one ``map`` formats its
-    potentials, and a set's active ids are formatted once.
+    of ``_GROUP`` cells. The text of each cell and each group is kept from the
+    row before: only cells whose bits changed (so -0.0 is not 0.0) are
+    re-formatted, and each group they touch is re-joined once per row; every row
+    then joins its groups afresh. One ``np.flatnonzero`` finds a block's changes,
+    one ``map`` formats its potentials, and a set's active ids are formatted once.
     """
     text, pot_text, (sep, id_sep, no_potential), line, _ = format_entry(TRAJECTORY_FORMATS, "trajectory", format)
     # the header waits for the first row, so a run that fails at once writes nothing
     header = ",".join(["t", "active", *(f"{v}_{i}" for v in "xy" for i in range(1, n + 1)), "potential"])
     lines = [header] if format == "csv" else []
-    # the 2n cells' groups, the actions' first; halves[h] joins the groups of half h
+    # the 2n cells' groups, the actions' in the first half
     groups = [slice(s, min(s + _GROUP, end)) for end in (n, 2 * n) for s in range(end - n, end, _GROUP)]
     half = len(groups) // 2
-    parts, id_texts, cells, t = (slice(0, half), slice(half, None)), {}, None, 0
+    id_texts, cells, t = {}, None, 0
     for X, Y, keys, pots in blocks:
         rows = len(X)
         y_bits = np.ascontiguousarray(Y).view(np.int64)
         if cells is None:
             cells = [*map(text, X[0].tolist() + Y[0].tolist())]
             joins = [sep.join(cells[g]) for g in groups]
-            halves = [sep.join(joins[p]) for p in parts]
             before = X[:1], y_bits[:1]  # row 0 is compared with itself
         # every changed cell in row order, actions first: its row, its column of
         # the 2n, its half and player, and its new value
@@ -84,24 +83,20 @@ def trajectory_chunks(blocks, n: int, format: str):
         values, on_x = np.empty(len(col), dtype=object), side == 0
         values[on_x] = X[row[on_x], player[on_x]].tolist()
         values[~on_x] = Y[row[~on_x], player[~on_x]].tolist()
-        # the last change of a row in a group re-joins that group, and the last
-        # in a half re-joins that half; -1 where a later change of the row will
+        # the last change of a row in a group re-joins it; -1 where a later change of the row will
         group = player // _GROUP + side * half
-        last = np.append(row[1:] != row[:-1], True)
-        regroup, rehalf = (np.where(last | np.append(v[1:] != v[:-1], True), v, -1).tolist() for v in (group, side))
+        regroup = np.where(np.append((row[1:] != row[:-1]) | (group[1:] != group[:-1]), True), group, -1).tolist()
         id_texts.update((k, id_sep.join([str(i + 1) for i in k])) for k in set(keys).difference(id_texts))
         pot_texts = [no_potential] * rows if pots is None else [*map(pot_text, pots.tolist())]
-        changes = zip(col.tolist(), values.tolist(), regroup, rehalf)
+        changes = zip(col.tolist(), values.tolist(), regroup)
         counts = np.bincount(row, minlength=rows).tolist()
         for active, pot, count in zip(map(id_texts.__getitem__, keys), pot_texts, counts):
             # formatted here, not ahead for the block: that was slower where every cell changes
-            for c, v, g, h in islice(changes, count):
+            for c, v, g in islice(changes, count):
                 cells[c] = text(v)
                 if g >= 0:
                     joins[g] = sep.join(cells[groups[g]])
-                    if h >= 0:
-                        halves[h] = sep.join(joins[parts[h]])
-            lines.append(line(t, active, pot, *halves))
+            lines.append(line(t, active, pot, sep.join(joins[:half]), sep.join(joins[half:])))
             t += 1
         before = X[-1:], y_bits[-1:]
         # an empty last line ends the text with a newline without a second copy

@@ -65,6 +65,34 @@ class TestExitCodes:
         assert cli_main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("coevo ")
 
+    @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"],
+            ["enumerate"],
+            ["check-conditions"],
+            ["best-response", "--player", "1", "--opinions", "0,0.6,0.6,0.6"],
+            ["sweep"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_unwritable_out_is_exit_1_naming_the_path(self, config_path, tmp_path, capsys, command, target):
+        if target == "existing-dir":
+            out = tmp_path / "a-dir"
+            out.mkdir()
+        else:
+            out = tmp_path / "absent" / "out.txt"
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert cli_main([command[0], config_path, "--quiet", "--out", str(out), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert str(out) in captured.err
+        assert ".tmp-" not in captured.err
+        # no temporary file is left beside the target, and no directory is made
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize(
         "section, value",
         [

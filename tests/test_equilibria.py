@@ -721,6 +721,7 @@ def _profiles(equilibria):
     return [tuple(int(v) for v in eq.state.x) for eq in equilibria]
 
 
+@pytest.mark.blas_bits
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(SCAN_KINDS))
 def test_enumeration_matches_dense_scan_bit_for_bit(seed, kind):
@@ -776,6 +777,7 @@ def _stacked_problem(rng, n):
     return edge_params(rng, n)[int(rng.integers(9))]
 
 
+@pytest.mark.blas_bits
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_stacked_pass_gives_each_problem_the_leaves_of_its_own_pass(seed, count):
@@ -793,6 +795,7 @@ def test_stacked_pass_gives_each_problem_the_leaves_of_its_own_pass(seed, count)
         assert sorted(map(tuple, leaves.tolist())) == sorted(map(tuple, alone.tolist()))
 
 
+@pytest.mark.blas_bits
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sweep_counts_match_enumeration_cell_by_cell(seed):

@@ -884,6 +884,7 @@ GOLDEN_SWEEP_CONFIG = {
 GOLDEN_SWEEP_DIGEST = "32ef1fa2dd53c383cda36378d0f2982b7f5db97ae13ea048a4b306197da61714"
 
 
+@pytest.mark.blas_bits
 def test_sweep_output_matches_recorded_digest(tmp_path, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(GOLDEN_SWEEP_CONFIG))
@@ -925,6 +926,7 @@ GOLDEN_REPORT_DIGESTS = {
 }
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_CALLS))
 def test_report_outputs_match_recorded_digests(name, tmp_path):
     command, config_name, options = GOLDEN_REPORT_CALLS[name]
