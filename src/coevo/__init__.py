@@ -5,69 +5,54 @@ a continuous opinion; both coevolve under asynchronous myopic best-response
 revisions. The package provides the payoff model, the discrete-time dynamics,
 exact equilibrium analysis at small scale, and a CLI for reproducible
 experiments.
+
+Each submodule is imported the first time one of its names is read, so
+``import coevo`` loads no submodule and ``load_config`` loads only ``config``,
+``model`` and ``networks``.
 """
 
 __version__ = "0.1.0"
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .model import (
-    DISCRIMINANT_TIE_TOL,
-    ROW_SUM_TOL,
-    WEIGHT_SUM_TOL,
-    BestResponseSet,
-    ModelParams,
-    Network,
-    SystemState,
-    best_response,
-    discriminant,
-    opinion_payoff,
-    pgg_payoff,
-    social_term,
-    total_payoff,
-)
-from .dynamics import (
-    SCHEDULE_KINDS,
-    RevisionSchedule,
-    StateClass,
-    Trajectory,
-    classify_state,
-    is_fixed_point,
-    make_schedule,
-    potential,
-    potential_matrix,
-    potential_matrix_is_positive_definite,
-    potential_quadratic,
-    run,
-    step,
-)
-from .equilibria import (
-    CONDITION_ALL_COOPERATION_EXISTS,
-    CONDITION_ALL_DEFECTION_UNIQUE,
-    ConditionReport,
-    Equilibrium,
-    EquilibriumReport,
-    NashCheck,
-    SweepCell,
-    SweepTable,
-    check_all_cooperation_exists,
-    check_all_defection_unique,
-    enumerate_equilibria,
-    solve_opinion_equilibrium,
-    sweep,
-    verify_nash,
-)
-from .networks import (
-    complete_network,
-    grid_network,
-    load_network,
-    random_network,
-    random_symmetric_network,
-    ring_network,
-    save_network,
-)
-from .config import ConfigError, ExperimentConfig, load_config
-from .io import emit_trajectory, load_trajectory
+#: Each public name, in export order, and the submodule that defines it.
+_SOURCES = {
+    "DISCRIMINANT_TIE_TOL": "model", "ROW_SUM_TOL": "model", "WEIGHT_SUM_TOL": "model",
+    "BestResponseSet": "model", "ModelParams": "model", "Network": "model", "SystemState": "model",
+    "best_response": "model", "discriminant": "model", "opinion_payoff": "model", "pgg_payoff": "model",
+    "social_term": "model", "total_payoff": "model", "SCHEDULE_KINDS": "model", "RevisionSchedule": "model",
+    "StateClass": "dynamics", "Trajectory": "dynamics", "classify_state": "dynamics",
+    "is_fixed_point": "dynamics", "make_schedule": "model", "potential": "dynamics",
+    "potential_matrix": "dynamics", "potential_matrix_is_positive_definite": "dynamics",
+    "potential_quadratic": "dynamics", "run": "dynamics", "step": "dynamics",
+    "CONDITION_ALL_COOPERATION_EXISTS": "equilibria", "CONDITION_ALL_DEFECTION_UNIQUE": "equilibria",
+    "ConditionReport": "equilibria", "Equilibrium": "equilibria", "EquilibriumReport": "equilibria",
+    "NashCheck": "equilibria", "SweepCell": "equilibria", "SweepTable": "equilibria",
+    "check_all_cooperation_exists": "equilibria", "check_all_defection_unique": "equilibria",
+    "enumerate_equilibria": "equilibria", "solve_opinion_equilibrium": "equilibria",
+    "sweep": "equilibria", "verify_nash": "equilibria",
+    "complete_network": "networks", "grid_network": "networks", "load_network": "networks",
+    "random_network": "networks", "random_symmetric_network": "networks", "ring_network": "networks",
+    "save_network": "networks",
+    "ConfigError": "config", "ExperimentConfig": "config", "load_config": "config",
+    "emit_trajectory": "io", "load_trajectory": "io",
+}
 
-# every public name imported above, in import order; the submodules are not among them
-__all__ = ["__version__", *(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))]
+# every public name, in the order above; the submodules are not among them
+__all__ = ["__version__", *_SOURCES]
+
+
+def __getattr__(name: str):
+    """A public name, or a submodule that defines some, imported on first use and then kept."""
+    if name in _SOURCES:
+        value = getattr(_import_module(f".{_SOURCES[name]}", __name__), name)
+    elif name in _SOURCES.values():
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

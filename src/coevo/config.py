@@ -28,8 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import RevisionSchedule, _check_limits, make_schedule
-from .model import ModelParams, Network, SystemState
+from .model import ModelParams, Network, RevisionSchedule, SystemState, _check_limits, make_schedule
 from . import networks
 
 

@@ -3,25 +3,28 @@
 At each step an active set of players simultaneously replaces their action
 with the sign of the discriminant (ties break to defect) and their opinion
 with the action-conditional optimum; inactive players keep their state
-bit-identically. Revision schedules decide who is active when; the compliant
-kinds guarantee every player activates within a fixed window, which is what
-the convergence analysis assumes.
+bit-identically. Revision schedules (``coevo.model``) decide who is active
+when; the compliant kinds guarantee every player activates within a fixed
+window, which is what the convergence analysis assumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
+# SCHEDULE_KINDS and make_schedule are not used here: they stay importable from coevo.dynamics
 from .model import (
     DISCRIMINANT_TIE_TOL,
+    SCHEDULE_KINDS,
     ModelParams,
     Network,
+    RevisionSchedule,
     RevisionTerms,
     SystemState,
+    _check_limits,
     _check_sizes,
     _check_state,
     _check_vector,
@@ -32,92 +35,12 @@ from .model import (
     _revision_terms,
     _stationarity,
     _trusted,
+    make_schedule,
 )
-
-#: Schedule kind -> its coverage window for n players (None: no guarantee).
-_WINDOWS = {
-    "synchronous": lambda n: 1,  # everyone every step
-    "round-robin": lambda n: n,  # players 1..n cyclically
-    # a fresh uniform permutation each block of n steps; in the worst case a
-    # player leads one block and trails the next
-    "shuffled-rounds": lambda n: 2 * n - 1,
-    "iid-random": lambda n: None,  # one uniformly random player per step
-}
-SCHEDULE_KINDS = tuple(_WINDOWS)
-
 
 #: Raw opinion updates further than this outside [0, 1] indicate an internal
 #: fault (legitimate row-sum dust is bounded by the 1e-9 network tolerance).
 _DIVERGENCE_BAND = 1e-6
-
-
-@dataclass(frozen=True)
-class RevisionSchedule:
-    """A reproducible generator of active player sets, one set per time step.
-
-    Every set is one player ``(i,)`` or everyone ``(0, ..., n-1)``: a sorted,
-    contiguous run of 0-based indices. A lone run reads it as one slice, and a
-    step of many runs as one column per run or all of them.
-    ``seed`` drives the stochastic kinds; the deterministic kinds keep it so
-    that callers can read back the seed a schedule was built with.
-    """
-
-    kind: str
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not _is_int(self.n):
-            raise ValueError(f"schedule n must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise ValueError(f"schedules need n >= 2, got {self.n}")
-        # a tuple test, not a dict lookup, so an unhashable kind is refused as unknown
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}; choose one of {SCHEDULE_KINDS}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"schedule seed must be a non-negative integer, got {self.seed!r}")
-
-    @property
-    def T(self) -> int | None:
-        """The coverage window: every player activates at least once in any ``T``
-        consecutive steps. None for iid-random, which offers no such guarantee;
-        convergence analyses must warn when handed such a schedule."""
-        return _WINDOWS[self.kind](self.n)
-
-    @property
-    def stability_window(self) -> int:
-        """Steps of no movement required to declare a trajectory stationary."""
-        T = self.T
-        return T if T is not None else 4 * self.n
-
-    def sets(self) -> Iterator[tuple[int, ...]]:
-        """Fresh infinite iterator of active sets (0-based indices), each
-        distinct set one tuple object throughout.
-
-        Repeated calls replay the identical sequence; stochastic kinds are
-        seeded.
-        """
-        n = self.n
-        if self.kind == "synchronous":
-            everyone = tuple(range(n))
-            while True:
-                yield everyone
-        singles = tuple((i,) for i in range(n))
-        if self.kind == "round-robin":
-            while True:
-                yield from singles
-        rng = np.random.default_rng(self.seed)
-        if self.kind == "shuffled-rounds":
-            while True:
-                for i in rng.permutation(n):
-                    yield singles[i]
-        while True:  # iid-random
-            yield singles[rng.integers(n)]
-
-
-def make_schedule(kind: str, n: int, seed: int | None = None) -> RevisionSchedule:
-    """A revision schedule of one of the ``SCHEDULE_KINDS``; a missing ``seed`` is stored as 0."""
-    return RevisionSchedule(kind, n, 0 if seed is None else seed)
 
 
 def _revise(y: np.ndarray, rows: np.ndarray, terms: RevisionTerms) -> tuple[np.ndarray, np.ndarray]:
@@ -242,15 +165,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-
-def _check_limits(max_steps, tol, prefix: str = "") -> None:
-    """Refuse a step budget that is not an integer >= 1, and a bool, NaN, infinite,
-    zero or negative stopping tolerance; ``prefix`` leads each field name."""
-    if not (_is_int(max_steps) and max_steps >= 1):
-        raise ValueError(f"{prefix}max_steps must be an integer >= 1, got {max_steps!r}")
-    if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{prefix}fixed_point_tol must be finite and positive, got {tol}")
 
 
 def _block_rows(n: int) -> int:

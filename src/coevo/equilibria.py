@@ -27,20 +27,14 @@ from numbers import Real
 
 import numpy as np
 
-from .dynamics import (
-    StateClass,
-    _check_limits,
-    _full_class,
-    _run_trials,
-    _state_classes,
-    make_schedule,
-)
+from .dynamics import StateClass, _full_class, _run_trials, _state_classes
 from .model import (
     DISCRIMINANT_TIE_TOL,
     ModelParams,
     Network,
     RevisionTerms,
     SystemState,
+    _check_limits,
     _check_sizes,
     _check_state,
     _check_vector,
@@ -53,6 +47,7 @@ from .model import (
     _stationarity,
     _trusted,
     best_response,
+    make_schedule,
 )
 
 CONDITION_ALL_DEFECTION_UNIQUE = "all_defection_unique"

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Trajectory
-from .equilibria import ConditionReport, EquilibriumReport, SweepTable
 from .model import BestResponseSet, _state_fault
 
 
@@ -316,11 +315,6 @@ TRAJECTORY_FORMATS = {
 }
 
 
-def write_json(obj, path: str) -> None:
-    """Canonical JSON to disk: sorted keys, 2-space indent, atomic replace."""
-    atomic_write(path, render_json(obj))
-
-
 def render_json(obj) -> str:
     """Canonical JSON of ``obj`` and a newline: the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``."""
     return _json_text(obj, "\n") + "\n"
@@ -334,6 +328,8 @@ def _json_text(v, nl: str) -> str:
         return json.encoder.encode_basestring_ascii(v)
     if t is int or t is float and isfinite(v):
         return t.__repr__(v)
+    if t is bool or v is None:
+        return "null" if v is None else "true" if v else "false"
     inner = nl + "  "
     if t is list or t is tuple:
         kinds = set(map(type, v))

@@ -1,4 +1,4 @@
-"""Domain types and pure payoff maps for the coupled action-opinion game.
+"""Domain types, revision schedules and pure payoff maps of the coupled action-opinion game.
 
 Each of ``n`` players holds a binary action (0 = defect, 1 = cooperate and
 contribute one unit to a public pool multiplied by ``r``) and a continuous
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -322,6 +322,87 @@ class BestResponseSet:
         raise KeyError(f"action {action} is not a best response")
 
 
+#: Schedule kind -> its coverage window for n players (None: no guarantee).
+_WINDOWS = {
+    "synchronous": lambda n: 1,  # everyone every step
+    "round-robin": lambda n: n,  # players 1..n cyclically
+    # a fresh uniform permutation each block of n steps; in the worst case a
+    # player leads one block and trails the next
+    "shuffled-rounds": lambda n: 2 * n - 1,
+    "iid-random": lambda n: None,  # one uniformly random player per step
+}
+SCHEDULE_KINDS = tuple(_WINDOWS)
+
+
+@dataclass(frozen=True)
+class RevisionSchedule:
+    """A reproducible generator of active player sets, one set per time step.
+
+    Every set is one player ``(i,)`` or everyone ``(0, ..., n-1)``: a sorted,
+    contiguous run of 0-based indices. A lone run reads it as one slice, and a
+    step of many runs as one column per run or all of them.
+    ``seed`` drives the stochastic kinds; the deterministic kinds keep it so
+    that callers can read back the seed a schedule was built with.
+    """
+
+    kind: str
+    n: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"schedule n must be an integer, got {self.n!r}")
+        if self.n < 2:
+            raise ValueError(f"schedules need n >= 2, got {self.n}")
+        # a tuple test, not a dict lookup, so an unhashable kind is refused as unknown
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind {self.kind!r}; choose one of {SCHEDULE_KINDS}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"schedule seed must be a non-negative integer, got {self.seed!r}")
+
+    @property
+    def T(self) -> int | None:
+        """The coverage window: every player activates at least once in any ``T``
+        consecutive steps. None for iid-random, which offers no such guarantee;
+        convergence analyses must warn when handed such a schedule."""
+        return _WINDOWS[self.kind](self.n)
+
+    @property
+    def stability_window(self) -> int:
+        """Steps of no movement required to declare a trajectory stationary."""
+        T = self.T
+        return T if T is not None else 4 * self.n
+
+    def sets(self) -> Iterator[tuple[int, ...]]:
+        """Fresh infinite iterator of active sets (0-based indices), each
+        distinct set one tuple object throughout.
+
+        Repeated calls replay the identical sequence; stochastic kinds are
+        seeded.
+        """
+        n = self.n
+        if self.kind == "synchronous":
+            everyone = tuple(range(n))
+            while True:
+                yield everyone
+        singles = tuple((i,) for i in range(n))
+        if self.kind == "round-robin":
+            while True:
+                yield from singles
+        rng = np.random.default_rng(self.seed)
+        if self.kind == "shuffled-rounds":
+            while True:
+                for i in rng.permutation(n):
+                    yield singles[i]
+        while True:  # iid-random
+            yield singles[rng.integers(n)]
+
+
+def make_schedule(kind: str, n: int, seed: int | None = None) -> RevisionSchedule:
+    """A revision schedule of one of the ``SCHEDULE_KINDS``; a missing ``seed`` is stored as 0."""
+    return RevisionSchedule(kind, n, 0 if seed is None else seed)
+
+
 def _is_int(value) -> bool:
     """True for Python and numpy integers; False for bools, floats and everything else."""
     # the exact type test first: step() checks every active id, and an
@@ -352,6 +433,15 @@ def _check_sizes(params: ModelParams, net: Network, state: SystemState | None = 
     if net.n != params.n or (state is not None and state.n != params.n):
         held = "" if state is None else f"state has {state.n} players, "
         raise ValueError(f"size mismatch: {held}params {params.n}, network {net.n}")
+
+
+def _check_limits(max_steps, tol, prefix: str = "") -> None:
+    """Refuse a step budget that is not an integer >= 1, and a bool, NaN, infinite,
+    zero or negative stopping tolerance; ``prefix`` leads each field name."""
+    if not (_is_int(max_steps) and max_steps >= 1):
+        raise ValueError(f"{prefix}max_steps must be an integer >= 1, got {max_steps!r}")
+    if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{prefix}fixed_point_tol must be finite and positive, got {tol}")
 
 
 def pgg_payoff(i: int, x, params: ModelParams) -> float:

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .io import atomic_write, format_entry, format_real
 from .model import Network
 
 #: Draws a random generator makes before it gives up on an irreducible one.
@@ -126,11 +125,13 @@ def random_symmetric_network(n: int, edge_probability: float, seed: int) -> Netw
 
 def load_network(path: str, format: str = "edge-list", normalise: bool = False) -> Network:
     """Read a network file in one of the ``NETWORK_FORMATS``."""
+    from .io import format_entry  # here, so that loading a config compiles io only for a network file
     return format_entry(NETWORK_FORMATS, "network", format)[0](path, normalise)
 
 
 def save_network(net: Network, path: str, format: str = "dense-csv") -> None:
     """Write a network to disk in a form :func:`load_network` reads back exactly."""
+    from .io import atomic_write, format_entry
     atomic_write(path, format_entry(NETWORK_FORMATS, "network", format)[1](net))
 
 
@@ -199,11 +200,13 @@ def _load_dense_csv(path: str, normalise: bool) -> Network:
 
 
 def _render_edge_list(net: Network) -> str:
+    from .io import format_real
     rows, cols = np.nonzero(net.W)
     return "".join(f"{i + 1} {j + 1} {format_real(net.W[i, j])}\n" for i, j in zip(rows, cols))
 
 
 def _render_dense_csv(net: Network) -> str:
+    from .io import format_real
     return "".join(",".join(format_real(v) for v in row) + "\n" for row in net.W)
 
 

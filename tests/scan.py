@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from coevo.dynamics import classify_state
+from coevo.dynamics import _state_classes
 from coevo.equilibria import Equilibrium, EquilibriumReport, _opinion_system
 from coevo.model import ModelParams, Network, SystemState, _stationarity
 
@@ -28,10 +28,10 @@ def scan_equilibria(params: ModelParams, net: Network) -> EquilibriumReport:
     residual = gap.max(axis=1)
 
     def build(mask: np.ndarray) -> tuple[Equilibrium, ...]:
-        found = []
-        for k in np.flatnonzero(mask):
-            state = SystemState(X[k].astype(np.int64), np.clip(Y[k], 0.0, 1.0))
-            found.append(Equilibrium(state, classify_state(state), float(residual[k])))
+        rows = np.flatnonzero(mask)
+        x, y = X[rows].astype(np.int64), np.clip(Y[rows], 0.0, 1.0)
+        found = [Equilibrium(SystemState(a, b), label, float(residual[k]))
+                 for k, a, b, label in zip(rows, x, y, _state_classes(x, y))]
         found.sort(key=lambda e: (int(e.state.x.sum()), tuple(e.state.x)))
         return tuple(found)
 

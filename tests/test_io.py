@@ -29,7 +29,6 @@ from coevo.io import (
     render_trajectory_csv,
     render_trajectory_jsonl,
     trajectory_chunks,
-    write_json,
 )
 from coevo.model import SystemState, best_response
 from instances import random_interior_params, random_row_stochastic, random_state
@@ -621,11 +620,6 @@ def test_loader_rejects_exactly_the_rows_system_state_rejects(data, tmp_path_fac
 class TestJsonRendering:
     def test_render_json_is_canonical(self):
         assert render_json({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
-
-    def test_write_json(self, tmp_path):
-        path = str(tmp_path / "obj.json")
-        write_json({"k": 0.5}, path)
-        assert open(path).read() == '{\n  "k": 0.5\n}\n'
 
     def test_condition_report_uses_one_based_players(self, params_r2):
         doc = condition_report_to_jsonable(check_all_defection_unique(params_r2))
