@@ -20,6 +20,7 @@ players:
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -123,59 +124,31 @@ def _require_solvable(params: ModelParams) -> None:
         raise ValueError(fault)
 
 
-def _opinion_system(params: ModelParams, net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(M, psi, phi): stationary opinions solve M y = psi * x, M = I - diag(phi) W."""
+def _opinion_system(params: ModelParams, net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """(M, psi): stationary opinions solve M y = psi * x, M = I - diag(beta/(beta+lam)) W."""
     terms = _revision_terms(params)
-    phi = terms.beta / terms.denom
-    psi = terms.lam / terms.denom
-    M = np.eye(params.n) - phi[:, None] * net.W
-    return M, psi, phi
+    M = np.eye(params.n) - (terms.beta / terms.denom)[:, None] * net.W
+    return M, terms.lam / terms.denom
 
 
-def solve_opinion_equilibrium(
-    x,
-    params: ModelParams,
-    net: Network,
-    method: str = "direct",
-) -> np.ndarray:
+def solve_opinion_equilibrium(x, params: ModelParams, net: Network) -> np.ndarray:
     """Stationary opinions for a frozen action profile ``x``.
 
     Solves y_i = (beta_i * sum_j w_ij y_j + lam_i * x_i) / (beta_i + lam_i)
-    for all i. ``method`` is "direct" (dense linear solve) or
-    "fixed-point-iteration" (contraction mapping, rate max beta/(beta+lam));
-    the two agree to 1e-10. The system matrix is invertible under the
-    preconditions, so a singular solve is an internal fault.
+    for all i with one dense linear solve. The system matrix is invertible
+    under the preconditions, so a singular solve is an internal fault.
     """
     _require_solvable(params)
     x = _check_vector(x, params.n, actions=True)
     _check_sizes(params, net)
-    M, psi, phi = _opinion_system(params, net)
-    rhs = psi * x
-    if method == "direct":
-        try:
-            y = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "internal fault: the stationary-opinion system is singular despite "
-                "contraction preconditions"
-            ) from exc
-    elif method == "fixed-point-iteration":
-        y = np.full(params.n, 0.5)
-        for _ in range(100_000):
-            y_next = phi * (net.W @ y) + rhs
-            if np.max(np.abs(y_next - y)) <= 1e-13:
-                y = y_next
-                break
-            y = y_next
-        else:
-            raise RuntimeError(
-                "internal fault: fixed-point iteration failed to contract within "
-                "100000 sweeps"
-            )
-    else:
-        raise ValueError(
-            f"unknown method {method!r}; use 'direct' or 'fixed-point-iteration'"
-        )
+    M, psi = _opinion_system(params, net)
+    try:
+        y = np.linalg.solve(M, psi * x)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            "internal fault: the stationary-opinion system is singular despite "
+            "contraction preconditions"
+        ) from exc
     return np.clip(y, 0.0, 1.0)
 
 
@@ -274,7 +247,7 @@ def _candidate_profiles(net: Network, problems) -> list[np.ndarray]:
     barrier between depths: one that turned empty is dropped, and one that did not
     move is kept as a leaf if it has no free player and otherwise split on its first.
     """
-    M, psi, _ = map(np.stack, zip(*(_opinion_system(p, net) for p in problems)))
+    M, psi = map(np.stack, zip(*(_opinion_system(p, net) for p in problems)))
     WK = net.W @ np.linalg.solve(M, psi[:, :, None] * np.eye(net.n))
     P, terms = len(problems), _stacked_terms(problems)
     lo, hi, owner, leaves = np.zeros((P, net.n), dtype=bool), np.ones((P, net.n), dtype=bool), np.arange(P), []
@@ -305,7 +278,7 @@ def _solve_profiles(X, net: Network, params: ModelParams):
     keep it, whether it is Nash and its residual. With two or more columns numpy takes
     the matrix path, whose bits match a solve of all 2^n profiles at once; a lone
     candidate is all-defection, exactly 0 on the vector path as well."""
-    M, psi, _ = _opinion_system(params, net)
+    M, psi = _opinion_system(params, net)
     X = X[np.lexsort(X.T)].astype(float)
     Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
     stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
@@ -403,6 +376,8 @@ def sweep(grid: dict, net: Network, schedule_kind: str = "round-robin", trials: 
         raise ValueError(f"grid is missing axes {sorted(missing)}")
     if not (_is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > sys.maxsize:  # the most trials that SeedSequence.spawn can count
+        raise ValueError(f"trials must be at most {sys.maxsize}, got {trials}")
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     trials, seed = int(trials), int(seed)

@@ -112,6 +112,7 @@ def _csv_line(t, active, pot, x_text, y_text) -> str:
 
 
 def _jsonl_line(t, active, pot, x_text, y_text) -> str:
+    # the text of json.dumps(row, sort_keys=True): cells by repr, the potential by json.dumps
     return f'{{"active": [{active}], "potential": {pot}, "t": {t}, "x": [{x_text}], "y": [{y_text}]}}'
 
 
@@ -130,15 +131,6 @@ def render_trajectory_csv(traj: Trajectory) -> str:
     produced this row's state; empty at t=0), x_1..x_n, y_1..y_n, potential.
     An empty trajectory renders as the header line alone."""
     return "".join(trajectory_chunks(_blocks(traj), traj.x.shape[1], "csv"))
-
-
-def render_trajectory_jsonl(traj: Trajectory) -> str:
-    """One JSON object per recorded state, same fields as the CSV columns, as
-    ``json.dumps(row, sort_keys=True)`` prints it: actions and opinions, ints and
-    finite floats, by ``repr``, which is ``json.dumps``'s text for them (-0.0
-    too), and potentials by ``json.dumps``, so NaN and Infinity read the same.
-    An empty trajectory renders as a lone newline."""
-    return "".join(trajectory_chunks(_blocks(traj), traj.x.shape[1], "json-lines"))
 
 
 def format_entry(table: dict, kind: str, format: str):

@@ -165,6 +165,12 @@ def _reaches_all(A: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _row_sums(W: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``W``; a sum past the largest double is inf, without numpy's warning."""
+    with np.errstate(over="ignore"):
+        return W.sum(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """A weighted influence network with a row-stochastic weight matrix.
@@ -192,7 +198,7 @@ class Network:
         if (W < 0.0).any():
             i, j = np.unravel_index(int(np.argmin(W)), W.shape)
             raise ValueError(f"negative weight W[{i + 1}, {j + 1}] = {float(W[i, j])!r}")
-        sums = W.sum(axis=1)
+        sums = _row_sums(W)
         off = np.abs(sums - 1.0)
         if (off > ROW_SUM_TOL).any():
             bad = int(np.argmax(off))
@@ -209,16 +215,17 @@ class Network:
     def from_matrix(cls, W, normalise: bool = False) -> "Network":
         """Build a network, optionally dividing each row by its sum first.
 
-        Normalisation rejects rows that sum to zero.
+        Normalisation rejects rows whose sum is zero or not finite.
         """
         W = np.asarray(W, dtype=float)
         if normalise:
             if W.ndim != 2 or W.shape[0] != W.shape[1]:
                 raise ValueError(f"influence matrix must be square, got shape {W.shape}")
-            sums = W.sum(axis=1)
-            if (sums == 0.0).any():
-                bad = int(np.argmax(sums == 0.0))
-                raise ValueError(f"row {bad + 1} sums to zero and cannot be normalised")
+            sums = _row_sums(W)
+            bad = (sums == 0.0) | ~np.isfinite(sums)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"row {k + 1} sums to {float(sums[k]) or 'zero'} and cannot be normalised")
             W = W / sums[:, None]
         return cls(W)
 

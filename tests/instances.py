@@ -14,16 +14,36 @@ from coevo.model import DISCRIMINANT_TIE_TOL, ModelParams, Network, SystemState
 from coevo.networks import random_symmetric_network
 
 
-def random_row_stochastic(rng: np.random.Generator, n: int) -> Network:
-    """Dense random row-stochastic matrix with zero diagonal.
+def random_row_stochastic(rng: np.random.Generator, n: int, self_loops: bool = False) -> Network:
+    """Dense random row-stochastic matrix, with zero diagonal unless ``self_loops``.
 
     Payoff-optimality oracles need self-loop-free networks: with w_ii > 0 the
     update formula stops being the one-shot payoff argmax (the self term of
     the disagreement cost is identically zero), though fixed points agree.
     """
     W = rng.uniform(0.05, 1.0, (n, n))
-    np.fill_diagonal(W, 0.0)
+    if not self_loops:
+        np.fill_diagonal(W, 0.0)
     return Network.from_matrix(W, normalise=True)
+
+
+def iterated_opinions(x, params: ModelParams, net: Network) -> np.ndarray:
+    """Stationary opinions of the zero-prejudice opinion update for the frozen
+    actions ``x``, by iterating y <- (beta * W y + lam * x) / (beta + lam) from
+    1/2 until no opinion moves by more than 1e-13.
+
+    The update contracts at rate max beta/(beta+lam) < 1, so this is the
+    reference that the direct solve of ``solve_opinion_equilibrium`` must match.
+    """
+    phi = params.beta / (params.beta + params.lam)
+    rhs = params.lam / (params.beta + params.lam) * np.asarray(x)
+    y = np.full(params.n, 0.5)
+    for _ in range(100_000):
+        y_next = phi * (net.W @ y) + rhs
+        if np.max(np.abs(y_next - y)) <= 1e-13:
+            return np.clip(y_next, 0.0, 1.0)
+        y = y_next
+    raise AssertionError("the opinion update did not contract within 100000 sweeps")
 
 
 def random_interior_params(

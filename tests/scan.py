@@ -20,7 +20,7 @@ def scan_equilibria(params: ModelParams, net: Network) -> EquilibriumReport:
     codes = np.arange(1 << n, dtype=np.uint32)
     # bit k of the code is player k's action
     X = ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
-    M, psi, _ = _opinion_system(params, net)
+    M, psi = _opinion_system(params, net)
     Y = np.linalg.solve(M, (psi[:, None] * X.T)).T
     stable, nash, gap = _stationarity(X, Y, Y @ net.W.T, params)
     dyn_ok = stable.all(axis=1)

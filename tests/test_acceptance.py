@@ -41,6 +41,7 @@ from instances import (
     convergence_instance,
     cooperation_regime_params,
     defection_regime_params,
+    iterated_opinions,
     random_interior_params,
     random_row_stochastic,
     random_state,
@@ -334,10 +335,10 @@ def test_criterion_08_opinion_equilibrium_endpoints(capsys):
             failures.append(f"cooperation consensus off by {np.abs(y1 - 1).max():.3e}")
     net2 = Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
     params2 = ModelParams.uniform(2, 1.5, 1 / 3, 1 / 3, 1 / 3)
-    for method in ("direct", "fixed-point-iteration"):
-        y = solve_opinion_equilibrium(np.array([1, 0]), params2, net2, method=method)
+    for name, solve in (("direct solve", solve_opinion_equilibrium), ("iteration", iterated_opinions)):
+        y = solve(np.array([1, 0]), params2, net2)
         if not np.allclose(y, [2 / 3, 1 / 3], atol=1e-12):
-            failures.append(f"{method} hand-solved case returned {y}")
+            failures.append(f"{name}: hand-solved case returned {y}")
     ok = not failures
     _report(capsys, "C8 opinion-equilibrium-endpoints", ok)
     assert not failures, failures[:5]

@@ -222,6 +222,17 @@ class TestExitCodes:
         assert message in err
         assert "np." not in err
 
+    def test_overflowing_row_sum_of_a_network_file_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "net.csv").write_text("0.5,0.5\n1e308,1e308\n")
+        doc = {
+            "params": {"n": 2, "r": 1.5, "alpha": 0.3, "beta": 0.3},
+            "network": {"type": "file", "path": "net.csv", "format": "dense-csv", "normalise": True},
+        }
+        path = tmp_path / "huge_row.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: network: row 2 sums to inf and cannot be normalised\n")
+
     @pytest.mark.parametrize(
         "kind, p, message",
         [("random", 0.05, "no irreducible draw"), ("random-symmetric", 0.02, "no connected draw")],
@@ -568,6 +579,18 @@ class TestSweep:
         assert cli_main(["sweep", config_path, "--trials", "2", "--quiet"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(cell["trials"] == 2 for cell in doc["cells"])
+
+    @pytest.mark.parametrize("trials", [2**63, 10**20])
+    def test_too_many_trials_is_exit_1(self, config_path, tmp_path, capsys, trials):
+        message = f"error: trials must be at most 9223372036854775807, got {trials}\n"
+        assert cli_main(["sweep", config_path, "--trials", str(trials)]) == 1
+        assert capsys.readouterr() == ("", message)
+        doc = json.loads(open(config_path).read())
+        doc["sweep"]["trials"] = float(trials)  # an integral float, read as the integer it is
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(path)]) == 1
+        assert capsys.readouterr() == ("", message)
 
     def test_deterministic(self, config_path, capsys):
         assert cli_main(["sweep", config_path, "--quiet"]) == 0

@@ -47,6 +47,7 @@ from instances import (
     cooperation_regime_params,
     defection_regime_params,
     edge_params,
+    iterated_opinions,
     random_interior_params,
     random_row_stochastic,
     tied_params,
@@ -164,17 +165,16 @@ class TestSolveOpinionEquilibrium:
         y = solve_opinion_equilibrium(np.array([1, 0]), p, net)
         np.testing.assert_allclose(y, [2 / 3, 1 / 3], atol=1e-12)
 
-    def test_methods_agree(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            params = random_interior_params(rng, n)
-            net = random_row_stochastic(rng, n)
-            x = rng.integers(0, 2, size=n)
-            direct = solve_opinion_equilibrium(x, params, net, method="direct")
-            iterated = solve_opinion_equilibrium(
-                x, params, net, method="fixed-point-iteration"
-            )
-            np.testing.assert_allclose(direct, iterated, atol=1e-10)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_direct_solve_agrees_with_the_iteration(self, n, seed, self_loops, data):
+        rng = np.random.default_rng(seed)
+        params = random_interior_params(rng, n)
+        net = random_row_stochastic(rng, n, self_loops)
+        x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        np.testing.assert_allclose(
+            solve_opinion_equilibrium(x, params, net), iterated_opinions(x, params, net), atol=1e-10
+        )
 
     def test_solution_satisfies_update_equations(self, rng):
         for _ in range(25):
@@ -196,12 +196,6 @@ class TestSolveOpinionEquilibrium:
         p = ModelParams.uniform(4, 2.0, 0.5, 0.5, 0.0)
         with pytest.raises(ValueError, match="lam must be positive"):
             solve_opinion_equilibrium(np.zeros(4, dtype=np.int64), p, complete4)
-
-    def test_unknown_method(self, params_r2, complete4):
-        with pytest.raises(ValueError, match="method"):
-            solve_opinion_equilibrium(
-                np.zeros(4, dtype=np.int64), params_r2, complete4, method="newton"
-            )
 
     def test_non_binary_profile_rejected(self, params_r2, complete4):
         with pytest.raises(ValueError):
@@ -515,6 +509,9 @@ class TestSweep:
         [
             ({"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
             ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+            # past sys.maxsize numpy cannot spawn the trials' seeds
+            ({"trials": 2**63}, "trials must be at most 9223372036854775807, got 9223372036854775808"),
+            ({"trials": 10**20}, "trials must be at most 9223372036854775807, got 100000000000000000000"),
             ({"seed": -1}, "seed must be a non-negative integer, got -1"),
             ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
             ({"r": [2.0, "2.5"]}, "grid axis r: values must be real numbers, got '2.5'"),

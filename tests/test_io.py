@@ -27,11 +27,15 @@ from coevo.io import (
     load_trajectory,
     render_json,
     render_trajectory_csv,
-    render_trajectory_jsonl,
     trajectory_chunks,
 )
 from coevo.model import SystemState, best_response
 from instances import random_interior_params, random_row_stochastic, random_state
+
+
+def render_jsonl(traj: Trajectory) -> str:
+    """The JSON-lines text that ``emit_trajectory`` writes for ``traj``, as one string."""
+    return "".join(trajectory_chunks(io_module._blocks(traj), traj.x.shape[1], "json-lines"))
 
 
 def states_equal(a: Trajectory, b: Trajectory) -> bool:
@@ -235,11 +239,13 @@ class TestTrajectoryFiles:
             np.testing.assert_array_equal(back.states[0].y, y)
             assert back.potentials[0] == -1 / 7
 
-    def test_empty_trajectory_renders_one_json_line_break(self):
+    def test_empty_trajectory_renders_one_json_line_break(self, tmp_path):
         empty = Trajectory(
             x=np.zeros((0, 0)), y=np.zeros((0, 0)), active_sets=(), potentials=None, stop_reason="unknown"
         )
-        assert render_trajectory_jsonl(empty) == "\n"
+        path = tmp_path / "empty.jsonl"
+        emit_trajectory(empty, str(path), "json-lines")
+        assert path.read_bytes() == b"\n"
 
     def test_empty_trajectory_is_header_only(self, tmp_path):
         empty = Trajectory(
@@ -411,7 +417,7 @@ class TestTrajectoryFiles:
         path.write_text('{"t": 0, "x": [1, 0], "y": [0.5, 0.5]}\n{"t": 1, "active": [2], "x": [1, 1], "y": [0.5, 0.5]}\n')
         traj = load_trajectory(str(path), format="json-lines")
         assert traj.active_sets == ((1,),)
-        assert render_trajectory_jsonl(traj).splitlines()[0].startswith('{"active": [], ')
+        assert render_jsonl(traj).splitlines()[0].startswith('{"active": [], ')
 
     def test_jsonl_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -512,7 +518,7 @@ def test_jsonl_renders_as_json_dumps_per_row(traj, data):
         potentials=pots,
         stop_reason="max_steps",
     )
-    assert render_trajectory_jsonl(traj) == _jsonl_by_row(traj)
+    assert render_jsonl(traj) == _jsonl_by_row(traj)
 
 
 @st.composite
@@ -799,9 +805,12 @@ def test_library_run_and_render_write_the_simulate_bytes(name, rows, tmp_path, m
         max_steps=cfg.max_steps,
         fixed_point_tol=cfg.fixed_point_tol,
     )
-    for fmt, render in (("csv", render_trajectory_csv), ("json-lines", render_trajectory_jsonl)):
+    for fmt in ("csv", "json-lines"):
         library, out = tmp_path / f"library.{fmt}", tmp_path / f"cli.{fmt}"
-        atomic_write(str(library), render(traj))
+        if fmt == "csv":
+            atomic_write(str(library), render_trajectory_csv(traj))
+        else:
+            emit_trajectory(traj, str(library), fmt)
         assert cli_main(["simulate", str(config), "--format", fmt, "--quiet", "--out", str(out)]) == 0
         assert library.read_bytes() == out.read_bytes()
     assert states_equal(load_trajectory(str(out), format="json-lines"), traj)

@@ -179,8 +179,12 @@ class TestNetwork:
             (lambda: Network(np.zeros((0, 0))), "influence matrix must have at least one node"),
             (lambda: Network(np.array([[np.nan, 1.0], [1.0, 0.0]])), "influence matrix contains non-finite entries"),
             (lambda: Network.from_matrix(np.ones((2, 3)), normalise=True), "influence matrix must be square, got shape (2, 3)"),
+            # a row sum past the largest double is inf, without numpy's overflow
+            # warning, and normalising does not divide the row into zeros
+            (lambda: Network([[1e308, 1e308], [1.0, 1.0]]), "row 1 of the influence matrix sums to inf, must be 1"),
+            (lambda: Network.from_matrix([[1e308, 1e308], [1.0, 1.0]], normalise=True), "row 1 sums to inf and cannot be normalised"),
         ],
-        ids=["empty", "nan", "normalise-non-square"],
+        ids=["empty", "nan", "normalise-non-square", "overflowing-row-sum", "normalise-overflowing-row-sum"],
     )
     def test_malformed_matrix_rejected(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):

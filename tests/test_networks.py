@@ -163,6 +163,12 @@ class TestDenseCsvFormat:
         loaded = load_network(str(p), format="edge-list")
         np.testing.assert_array_equal(loaded.W, net.W)
 
+    def test_overflowing_row_sum_rejected_on_normalise(self, tmp_path):
+        p = tmp_path / "net.csv"
+        p.write_text("0.5,0.5\n1e308,1e308\n")
+        with pytest.raises(ValueError, match="^row 2 sums to inf and cannot be normalised$"):
+            load_network(str(p), format="dense-csv", normalise=True)
+
     def test_bad_row_sum_rejected_without_normalise(self, tmp_path):
         p = tmp_path / "net.csv"
         p.write_text("0.5,0.48\n0.5,0.5\n")
